@@ -27,32 +27,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="convert a source ontology into the canonical concept table")
-    p_ingest.add_argument("--source", required=True, help="OBO file, ICD-10 CSV, or Wikidata sample CSV")
+    p_ingest.add_argument(
+        "--source", required=True, dest="source_path", metavar="SOURCE", help="OBO file, ICD-10 CSV, or Wikidata sample CSV"
+    )
     p_ingest.add_argument("--kind", required=True, type=str.lower, choices=["go", "uberon", "icd10", "wikidata"])
-    p_ingest.add_argument("--universe", help="full ID universe CSV (WIKIDATA only)")
+    p_ingest.add_argument("--universe", dest="universe_path", metavar="UNIVERSE", help="full ID universe CSV (WIKIDATA only)")
     p_ingest.add_argument("--max-code-chars", type=int, default=4, help="ICD-10 code length cutoff (default 4)")
-    p_ingest.add_argument("--out", required=True, help="output directory")
+    p_ingest.add_argument("--out", required=True, dest="out_dir", metavar="OUT", help="output directory")
 
     p_probe = sub.add_parser("probe", help="query a model for every concept and score the answers")
-    p_probe.add_argument("--ontology", required=True, help="canonical concept table CSV")
+    p_probe.add_argument(
+        "--ontology", required=True, dest="ontology_path", metavar="ONTOLOGY", help="canonical concept table CSV"
+    )
     p_probe.add_argument("--kind", type=str.lower, choices=["go", "uberon", "icd10", "wikidata"], help="assert the table's ontology kind")
-    p_probe.add_argument("--model-config", required=True, help="model config JSON")
+    p_probe.add_argument("--model-config", required=True, dest="config", metavar="MODEL_CONFIG", help="model config JSON")
     p_probe.add_argument("--sample", type=int, help="probe a seeded sample instead of every concept")
     p_probe.add_argument(
         "--style", type=str.upper, choices=["CHAT", "COMPLETION"], help="override the provider's default prompt style"
     )
     p_probe.add_argument("--language", default="EN", type=str.upper, choices=["EN", "IT", "DE", "FR", "ES"])
-    p_probe.add_argument("--cache", help="response cache path (default <out>/cache.ndjson)")
+    p_probe.add_argument(
+        "--cache", dest="cache_path", metavar="CACHE", help="response cache path (default <out>/cache.ndjson)"
+    )
     p_probe.add_argument("--seed", type=int, default=0)
-    p_probe.add_argument("--out", required=True)
+    p_probe.add_argument("--out", required=True, dest="out_dir", metavar="OUT")
 
     p_analyze = sub.add_parser("analyze", help="bucketed popularity analysis of a scored run")
-    p_analyze.add_argument("--scored", required=True, help="scored records NDJSON from probe")
-    p_analyze.add_argument("--ontology", required=True)
+    p_analyze.add_argument(
+        "--scored", required=True, dest="scored_path", metavar="SCORED", help="scored records NDJSON from probe"
+    )
+    p_analyze.add_argument("--ontology", required=True, dest="ontology_path", metavar="ONTOLOGY")
     p_analyze.add_argument(
         "--occurrences",
         action="append",
         required=True,
+        dest="occurrence_paths",
+        metavar="OCCURRENCES",
         help="occurrence counts CSV; give twice to also compare the two sources",
     )
     p_analyze.add_argument("--buckets", type=int, default=50)
@@ -61,12 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--top-k", type=int, default=500)
     p_analyze.add_argument("--allow-missing", action="store_true", help="drop scored concepts lacking an occurrence row")
     p_analyze.add_argument("--seed", type=int, default=0)
-    p_analyze.add_argument("--out", required=True)
+    p_analyze.add_argument("--out", required=True, dest="out_dir", metavar="OUT")
 
     p_inv = sub.add_parser("invariance", help="prediction invariance over repeats, temperatures, languages")
-    p_inv.add_argument("--ontology", required=True)
-    p_inv.add_argument("--model-config", required=True)
-    p_inv.add_argument("--occurrences", required=True)
+    p_inv.add_argument("--ontology", required=True, dest="ontology_path", metavar="ONTOLOGY")
+    p_inv.add_argument("--model-config", required=True, dest="config", metavar="MODEL_CONFIG")
+    p_inv.add_argument("--occurrences", required=True, dest="occurrence_path", metavar="OCCURRENCES")
     p_inv.add_argument(
         "--strategies",
         nargs="+",
@@ -76,12 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_inv.add_argument("--buckets", type=int, default=50)
     p_inv.add_argument("--k-sample", type=int, default=20, help="concepts sampled per bucket")
-    p_inv.add_argument("--repeats", type=int, default=10, help="repetitions per concept for PI1")
+    p_inv.add_argument(
+        "--repeats", type=int, default=10, dest="m_repeats", metavar="REPEATS", help="repetitions per concept for PI1"
+    )
     p_inv.add_argument("--permutations", type=int, default=10000)
     p_inv.add_argument("--style", type=str.upper, choices=["CHAT", "COMPLETION"])
-    p_inv.add_argument("--cache", help="response cache path (default <out>/cache.ndjson)")
+    p_inv.add_argument("--cache", dest="cache_path", metavar="CACHE", help="response cache path (default <out>/cache.ndjson)")
     p_inv.add_argument("--seed", type=int, default=0)
-    p_inv.add_argument("--out", required=True)
+    p_inv.add_argument("--out", required=True, dest="out_dir", metavar="OUT")
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic ontology, counts, and memorizer profile")
     p_sim.add_argument("--size", type=int, default=1000)
@@ -91,88 +103,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--temperature-sensitivity", type=float, default=0.5)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", required=True)
+    p_sim.add_argument("--out", required=True, dest="out_dir", metavar="OUT")
 
     p_report = sub.add_parser("report", help="flatten analysis JSON into plot-ready CSV tables")
-    p_report.add_argument("--analysis", required=True, help="analysis.json from analyze")
-    p_report.add_argument("--invariance", help="invariance_report.json to merge AvPI columns")
-    p_report.add_argument("--out", required=True)
+    p_report.add_argument(
+        "--analysis", required=True, dest="analysis_path", metavar="ANALYSIS", help="analysis.json from analyze"
+    )
+    p_report.add_argument(
+        "--invariance", dest="invariance_path", metavar="INVARIANCE", help="invariance_report.json to merge AvPI columns"
+    )
+    p_report.add_argument("--out", required=True, dest="out_dir", metavar="OUT")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(build_parser().parse_args(argv))
+    # Looked up at call time so that rebinding a run_* name on this module
+    # (as perfbench/tracing.py does) takes effect.
+    runner = {
+        "ingest": run_ingest,
+        "probe": run_probe,
+        "analyze": run_analyze,
+        "invariance": run_invariance,
+        "simulate": run_simulate,
+        "report": run_report,
+    }[kwargs.pop("command")]
     try:
-        if args.command == "ingest":
-            run_ingest(
-                args.source,
-                args.kind,
-                args.out,
-                universe_path=args.universe,
-                max_code_chars=args.max_code_chars,
+        manifest = runner(**kwargs)
+        # Only probe records failed requests.
+        if manifest.counts.get("failed", 0) > 0:
+            print(
+                f"probe finished with {manifest.counts['failed']} failed requests "
+                f"(scored as wrong; see {kwargs['out_dir']}/manifest.json)",
+                file=sys.stderr,
             )
-        elif args.command == "probe":
-            manifest = run_probe(
-                args.ontology,
-                args.model_config,
-                args.out,
-                sample=args.sample,
-                seed=args.seed,
-                style=args.style,
-                language=args.language,
-                kind=args.kind,
-                cache_path=args.cache,
-            )
-            if manifest.counts.get("failed", 0) > 0:
-                print(
-                    f"probe finished with {manifest.counts['failed']} failed requests "
-                    f"(scored as wrong; see {args.out}/manifest.json)",
-                    file=sys.stderr,
-                )
-                return EXIT_TRANSPORT
-        elif args.command == "analyze":
-            run_analyze(
-                args.scored,
-                args.ontology,
-                args.occurrences,
-                args.out,
-                buckets=args.buckets,
-                lag=args.lag,
-                permutations=args.permutations,
-                top_k=args.top_k,
-                seed=args.seed,
-                allow_missing=args.allow_missing,
-            )
-        elif args.command == "invariance":
-            run_invariance(
-                args.ontology,
-                args.model_config,
-                args.occurrences,
-                args.out,
-                strategies=tuple(args.strategies),
-                buckets=args.buckets,
-                k_sample=args.k_sample,
-                m_repeats=args.repeats,
-                permutations=args.permutations,
-                seed=args.seed,
-                style=args.style,
-                cache_path=args.cache,
-            )
-        elif args.command == "simulate":
-            run_simulate(
-                args.out,
-                size=args.size,
-                seed=args.seed,
-                max_exponent=args.max_exponent,
-                hallucination_style=args.hallucination_style,
-                temperature_sensitivity=args.temperature_sensitivity,
-            )
-        elif args.command == "report":
-            run_report(args.analysis, args.out, invariance_path=args.invariance)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
+            return EXIT_TRANSPORT
     except (ParseError, ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

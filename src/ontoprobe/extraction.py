@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .ontology import OntologyKind
+from .ontology import OntologyKind, canonical_icd10
 
 # Default patterns. Case-insensitive on purpose: models answer with
 # "go:0001822" and "Go 1822" variants routinely.
@@ -66,11 +66,7 @@ def normalize_id(kind: OntologyKind, raw_match: str) -> str | None:
             return None
         return f"{prefix}:{digits.zfill(7)}"
     if kind is OntologyKind.ICD10:
-        m = re.fullmatch(r"([A-Z])([0-9]{2})(?:\.?([0-9A-Z]{1,4}))?", raw.upper())
-        if m is None:
-            return None
-        head = m.group(1) + m.group(2)
-        return head if m.group(3) is None else f"{head}.{m.group(3)}"
+        return canonical_icd10(raw)
     if kind is OntologyKind.WIKIDATA:
         m = re.fullmatch(r"Q?\s*0*([0-9]+)", raw, flags=re.IGNORECASE)
         if m is None:

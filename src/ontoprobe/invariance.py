@@ -19,7 +19,7 @@ from enum import Enum
 from .errors import ParseError
 from .extraction import completion_cue, default_rules, extract_id
 from .gateway import ModelGateway
-from .metrics import is_correct
+from .metrics import _ndjson, is_correct
 from .ontology import Concept, Ontology
 from .popularity import BucketAssignment
 from .prompts import Language, PromptStyle, render, template_for
@@ -102,7 +102,7 @@ def _run_calls(
     concepts: list[Concept],
     strategy: Strategy,
     calls_for,
-    rule_for,
+    rules: dict,
 ) -> list[InvarianceRecord]:
     # Flatten every (concept, call) pair into one batch so the gateway's
     # bounded parallelism covers the whole strategy, then regroup.
@@ -116,7 +116,7 @@ def _run_calls(
     records = []
     for concept, start, stop in spans:
         answers: list[str | None] = []
-        rule = rule_for(concept)
+        rule = rules[concept.source]
         for (prompt, _tag, _temp), response in zip(items[start:stop], responses[start:stop]):
             if response is None:
                 answers.append(None)
@@ -147,7 +147,7 @@ def run_pi1(
         prompt = render(template_for(concept.source, style, language), concept)
         return [(prompt, tag, 0.0) for tag in range(m)]
 
-    return _run_calls(gateway, concepts, Strategy.PI1, calls_for, lambda c: rules[c.source])
+    return _run_calls(gateway, concepts, Strategy.PI1, calls_for, rules)
 
 
 def run_pi2(
@@ -168,7 +168,7 @@ def run_pi2(
         prompt = render(template_for(concept.source, style, language), concept)
         return [(prompt, 0, t) for t in temperatures]
 
-    return _run_calls(gateway, concepts, Strategy.PI2, calls_for, lambda c: rules[c.source])
+    return _run_calls(gateway, concepts, Strategy.PI2, calls_for, rules)
 
 
 def run_pi3(
@@ -197,7 +197,7 @@ def run_pi3(
     def calls_for(concept: Concept):
         return [(render(templates[(concept.source, lang)], concept), 0, 0.0) for lang in languages]
 
-    return _run_calls(gateway, concepts, Strategy.PI3, calls_for, lambda c: rules[c.source])
+    return _run_calls(gateway, concepts, Strategy.PI3, calls_for, rules)
 
 
 def aggregate_avpi(
@@ -229,25 +229,19 @@ def aggregate_avpi(
 
 def write_invariance_records(records: list[InvarianceRecord]) -> str:
     """Serialize invariance records as newline-delimited JSON."""
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "strategy": r.strategy.value,
-                    "source": r.concept.source.value,
-                    "gold_id": r.concept.id,
-                    "label": r.concept.label,
-                    "m": r.m,
-                    "answers": list(r.answers),
-                    "u": r.u,
-                    "pi": r.pi,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _ndjson(
+        {
+            "strategy": r.strategy.value,
+            "source": r.concept.source.value,
+            "gold_id": r.concept.id,
+            "label": r.concept.label,
+            "m": r.m,
+            "answers": list(r.answers),
+            "u": r.u,
+            "pi": r.pi,
+        }
+        for r in records
+    )
 
 
 def read_invariance_records(text: str, ontology: Ontology) -> list[InvarianceRecord]:

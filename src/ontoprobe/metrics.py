@@ -124,15 +124,27 @@ def error_similarity(ontology: Ontology, records: list[ProbeRecord]) -> ErrorSim
     Jaccard only over those whose predicted ID exists in the ontology
     and therefore has a label to compare.
     """
-    lev_values: list[int] = []
-    jac_values: list[float] = []
+    return _mean_similarity(_error_pairs(ontology, records))
+
+
+def _error_pairs(ontology: Ontology, records: list[ProbeRecord]) -> list[tuple[ProbeRecord, int, float | None]]:
+    """(record, Levenshtein, Jaccard or None) per wrong record carrying a
+    prediction, in record order; Jaccard is None when the predicted ID
+    has no label in the ontology."""
+    pairs = []
     for r in records:
         if r.correct or r.predicted is None:
             continue
-        lev_values.append(levenshtein(r.predicted, r.concept.id))
         hit = ontology.id_index.get(r.predicted)
-        if hit is not None:
-            jac_values.append(jaccard_label_similarity(r.concept.label, hit.label))
+        jaccard = None if hit is None else jaccard_label_similarity(r.concept.label, hit.label)
+        pairs.append((r, levenshtein(r.predicted, r.concept.id), jaccard))
+    return pairs
+
+
+def _mean_similarity(pairs: list[tuple[ProbeRecord, int, float | None]]) -> ErrorSimilarity:
+    """Means over `_error_pairs` output, summed in the order given."""
+    lev_values = [lev for _r, lev, _jac in pairs]
+    jac_values = [jac for _r, _lev, jac in pairs if jac is not None]
     return ErrorSimilarity(
         mean_levenshtein=sum(lev_values) / len(lev_values) if lev_values else None,
         mean_jaccard=sum(jac_values) / len(jac_values) if jac_values else None,
@@ -160,26 +172,25 @@ def repeated_id_counts(records: list[ProbeRecord]) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
+def _ndjson(rows) -> str:
+    """One sorted-key JSON object per line, non-ASCII kept as is."""
+    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+
+
 def write_scored_records(records: list[ProbeRecord]) -> str:
     """Serialize records as newline-delimited JSON, one object per line."""
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "source": r.concept.source.value,
-                    "gold_id": r.concept.id,
-                    "label": r.concept.label,
-                    "predicted_id": r.predicted,
-                    "correct": r.correct,
-                    "invented": r.invented,
-                    "raw_text": r.raw_text,
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _ndjson(
+        {
+            "source": r.concept.source.value,
+            "gold_id": r.concept.id,
+            "label": r.concept.label,
+            "predicted_id": r.predicted,
+            "correct": r.correct,
+            "invented": r.invented,
+            "raw_text": r.raw_text,
+        }
+        for r in records
+    )
 
 
 def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:

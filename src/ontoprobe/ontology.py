@@ -114,10 +114,6 @@ class Ontology:
         return len(self.concepts)
 
 
-def _obo_lines(text: str):
-    yield from enumerate(text.splitlines(), start=1)
-
-
 def parse_obo(text: str, native_prefix: str) -> Ontology:
     """Parse an OBO flat file, keeping [Term] stanzas with the native prefix.
 
@@ -130,7 +126,6 @@ def parse_obo(text: str, native_prefix: str) -> Ontology:
     kind = OntologyKind(native_prefix)
     concepts: list[Concept] = []
     universe: set[str] = set()
-    seen: set[str] = set()
 
     in_term = False
     stanza_line = 0
@@ -146,9 +141,8 @@ def parse_obo(text: str, native_prefix: str) -> Ontology:
                 raise ParseError(f"line {stanza_line}: [Term] stanza missing {missing}:")
             if not term_id:
                 raise ParseError(f"line {stanza_line}: [Term] stanza has an empty id")
-            if term_id in seen:
+            if term_id in universe:
                 raise ParseError(f"line {stanza_line}: duplicate id {term_id}")
-            seen.add(term_id)
             universe.add(term_id)
             if not obsolete and term_id.partition(":")[0] == native_prefix:
                 if ID_PATTERNS[kind].match(term_id) is None:
@@ -160,7 +154,7 @@ def parse_obo(text: str, native_prefix: str) -> Ontology:
         term_name = None
         obsolete = False
 
-    for line_no, raw in _obo_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("["):
             flush()
@@ -180,7 +174,11 @@ def parse_obo(text: str, native_prefix: str) -> Ontology:
         elif key == "is_obsolete":
             obsolete = value.lower().startswith("true")
     flush()
+    return _ontology(kind, concepts, universe)
 
+
+def _ontology(kind: OntologyKind, concepts: list[Concept], universe: set[str]) -> Ontology:
+    """Build an Ontology, reporting a violated invariant as a ParseError."""
     try:
         return Ontology(kind, tuple(concepts), frozenset(universe))
     except ValueError as exc:
@@ -188,6 +186,11 @@ def parse_obo(text: str, native_prefix: str) -> Ontology:
 
 
 def _csv_rows(text: str, expected_header: list[str], what: str):
+    """Rows of a header-checked CSV as (row number, row), blank rows skipped.
+
+    Raises ParseError, prefixed with `what`, for a missing or wrong header
+    and for a row whose width differs from the header's.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -214,30 +217,19 @@ def parse_icd10(text: str, max_code_chars: int = 4) -> Ontology:
         raise ValueError("max_code_chars must be non-negative")
     concepts: list[Concept] = []
     universe: set[str] = set()
-    seen: set[str] = set()
-    for row_no, (code, label) in _icd_rows(text):
+    for row_no, row in _csv_rows(text, ["code", "label"], "ICD-10 table"):
+        code, label = row[0].strip(), row[1].strip()
+        if not code or not label:
+            raise ParseError(f"ICD-10 table: row {row_no} has an empty code or label")
         canon = canonical_icd10(code)
         if canon is None:
             raise ParseError(f"ICD-10 table: row {row_no} has malformed code {code!r}")
-        if canon in seen:
+        if canon in universe:
             raise ParseError(f"ICD-10 table: row {row_no} duplicates code {canon}")
-        seen.add(canon)
         universe.add(canon)
         if alnum_length(canon) <= max_code_chars:
             concepts.append(Concept(canon, label, OntologyKind.ICD10))
-    try:
-        return Ontology(OntologyKind.ICD10, tuple(concepts), frozenset(universe))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _icd_rows(text: str):
-    for row_no, row in _csv_rows(text, ["code", "label"], "ICD-10 table"):
-        code = row[0].strip()
-        label = row[1].strip()
-        if not code or not label:
-            raise ParseError(f"ICD-10 table: row {row_no} has an empty code or label")
-        yield row_no, (code, label)
+    return _ontology(OntologyKind.ICD10, concepts, universe)
 
 
 def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontology:
@@ -279,10 +271,7 @@ def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontolo
         missing = seen - universe
         if missing:
             raise ParseError(f"Wikidata universe does not cover {len(missing)} sampled QIDs, e.g. {sorted(missing)[:3]}")
-    try:
-        return Ontology(OntologyKind.WIKIDATA, tuple(concepts), frozenset(universe))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _ontology(OntologyKind.WIKIDATA, concepts, universe)
 
 
 def write_concept_table(ontology: Ontology) -> str:
@@ -331,7 +320,4 @@ def read_concept_table(text: str) -> Ontology:
                 raise ParseError(f"concept table: row {row_no}: {exc}") from exc
     if kind is None:
         raise ParseError("concept table: no data rows")
-    try:
-        return Ontology(kind, tuple(concepts), frozenset(universe))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _ontology(kind, concepts, universe)

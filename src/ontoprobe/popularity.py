@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .metrics import ProbeRecord
+from .ontology import _csv_rows
 
 OCCURRENCE_HEADER = ["source", "id", "occurrences"]
 
@@ -68,20 +69,9 @@ class BiasRatioReport:
 
 def read_occurrences(text: str) -> list[OccurrenceRecord]:
     """Parse a `source,id,occurrences` CSV."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("occurrence file: missing header row") from None
-    if [h.strip().lower() for h in header] != OCCURRENCE_HEADER:
-        raise ParseError(f"occurrence file: expected header {','.join(OCCURRENCE_HEADER)}")
     records = []
     seen = set()
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise ParseError(f"occurrence file: row {row_no} has {len(row)} fields, expected 3")
+    for row_no, row in _csv_rows(text, OCCURRENCE_HEADER, "occurrence file"):
         source_tag, concept_id = row[0].strip(), row[1].strip()
         if not concept_id:
             raise ParseError(f"occurrence file: row {row_no} has an empty id")

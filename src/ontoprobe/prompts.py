@@ -9,14 +9,13 @@ with the untranslated label.
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .errors import ConfigurationError
-from .ontology import Concept, OntologyKind
+from .errors import ConfigurationError, ParseError
+from .ontology import Concept, OntologyKind, _csv_rows
 
 PLACEHOLDER = "{l}"
 
@@ -87,29 +86,22 @@ TRANSLATION_HEADER = ["ontology", "style", "language", "text"]
 
 def load_translation_table(text: str) -> list[PromptTemplate]:
     """Parse a translation CSV (`ontology,style,language,text`)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigurationError("translation table: missing header row") from None
-    if [h.strip().lower() for h in header] != TRANSLATION_HEADER:
-        raise ConfigurationError(f"translation table: expected header {','.join(TRANSLATION_HEADER)}")
     templates = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise ConfigurationError(f"translation table: row {row_no} has {len(row)} fields, expected 4")
-        try:
-            kind = OntologyKind(row[0].strip())
-            style = PromptStyle(row[1].strip())
-            language = Language(row[2].strip())
-            templates.append(PromptTemplate(kind, style, language, row[3]))
-        except ValueError as exc:
-            raise ConfigurationError(f"translation table: row {row_no}: {exc}") from exc
+    try:
+        for row_no, row in _csv_rows(text, TRANSLATION_HEADER, "translation table"):
+            try:
+                kind = OntologyKind(row[0].strip())
+                style = PromptStyle(row[1].strip())
+                language = Language(row[2].strip())
+                templates.append(PromptTemplate(kind, style, language, row[3]))
+            except ValueError as exc:
+                raise ConfigurationError(f"translation table: row {row_no}: {exc}") from exc
+    except ParseError as exc:
+        raise ConfigurationError(str(exc)) from exc
     return templates
 
 
+@functools.cache
 def _load_builtin() -> dict[tuple[OntologyKind, PromptStyle, Language], PromptTemplate]:
     templates: dict[tuple, PromptTemplate] = {}
     for kind, text in _CHAT_EN.items():
@@ -132,22 +124,14 @@ def _load_builtin() -> dict[tuple[OntologyKind, PromptStyle, Language], PromptTe
     return templates
 
 
-_BUILTIN: dict[tuple, PromptTemplate] | None = None
-
-
 def builtin_templates() -> tuple[PromptTemplate, ...]:
     """All shipped templates: 8 English plus the chat translations."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = _load_builtin()
-    return tuple(_BUILTIN.values())
+    return tuple(_load_builtin().values())
 
 
 def template_for(kind: OntologyKind, style: PromptStyle, language: Language) -> PromptTemplate:
     """Look up one shipped template; configuration error when absent."""
-    builtin_templates()
-    assert _BUILTIN is not None
-    template = _BUILTIN.get((kind, style, language))
+    template = _load_builtin().get((kind, style, language))
     if template is None:
         raise ConfigurationError(f"no template for {kind.value}/{style.value}/{language.value}")
     return template

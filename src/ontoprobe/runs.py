@@ -17,8 +17,8 @@ import json
 import math
 import os
 import random
-import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,11 +35,12 @@ from .gateway import (
 )
 from .metrics import (
     ProbeRecord,
+    _error_pairs,
+    _mean_similarity,
     accuracy,
-    error_similarity,
+    error_similarity,  # noqa: F401 - not called here; perfbench/tracing.py rebinds it on this module
     hallucination_stats,
-    jaccard_label_similarity,
-    levenshtein,
+    levenshtein,  # noqa: F401 - likewise
     read_scored_records,
     repeated_id_counts,
     score,
@@ -56,7 +57,6 @@ from .ontology import (
     write_concept_table,
 )
 from .popularity import (
-    BucketAssignment,
     OccurrenceRecord,
     bias_ratio,
     bucket_mean_counts,
@@ -79,10 +79,15 @@ def derive_seed(master: int, label: str) -> int:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The temp file is created with mode 0666 so the umask applies, as it
+    would to a plain open().
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -117,16 +122,20 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
 
     def save(self, path: str | Path) -> None:
-        atomic_write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        _write_json(path, asdict(self))
 
 
-def _run_id(command: str, parts: list[str]) -> str:
-    material = json.dumps([command, *parts])
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+def _write_json(path: str | Path, data) -> None:
+    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+def _finish_run(out_dir: Path, command: str, id_parts: list[str], **fields) -> RunManifest:
+    """Stamp, save and return the run's manifest; the run id hashes the
+    command with `id_parts`."""
+    run_id = hashlib.sha256(json.dumps([command, *id_parts]).encode("utf-8")).hexdigest()[:16]
+    manifest = RunManifest(run_id, command, time.strftime("%Y-%m-%dT%H:%M:%S%z"), **fields)
+    manifest.save(out_dir / "manifest.json")
+    return manifest
 
 
 def _rule_digests() -> dict[str, str]:
@@ -153,6 +162,19 @@ def load_ontology(path: str | Path, kind: str | None = None) -> Ontology:
     return ontology
 
 
+def _load_occurrences(path: str | Path) -> list[OccurrenceRecord]:
+    occurrences = read_occurrences(Path(path).read_text(encoding="utf-8"))
+    if not occurrences:
+        raise ParseError(f"{path} holds no occurrence records")
+    return occurrences
+
+
+def _open_gateway(config: ModelConfig, out_dir: Path, cache_path, profile, transport) -> ModelGateway:
+    """Gateway over the run's response cache (default <out_dir>/cache.ndjson)."""
+    cache = ResponseCache(cache_path if cache_path is not None else out_dir / "cache.ndjson")
+    return ModelGateway(config, profile=profile, cache=cache, transport=transport)
+
+
 def run_ingest(
     source_path: str | Path,
     kind: str,
@@ -175,17 +197,15 @@ def run_ingest(
 
     concepts_path = out_dir / "concepts.csv"
     atomic_write_text(concepts_path, write_concept_table(ontology))
-    manifest = RunManifest(
-        run_id=_run_id("ingest", [file_digest(source_path), kind_enum.value, str(max_code_chars)]),
-        command="ingest",
-        timestamp=_now(),
+    return _finish_run(
+        out_dir,
+        "ingest",
+        [file_digest(source_path), kind_enum.value, str(max_code_chars)],
         ontology=_ontology_descriptor(concepts_path, ontology),
         parameters={"source": str(source_path), "kind": kind_enum.value, "max_code_chars": max_code_chars},
         counts={"concepts": len(ontology.concepts), "universe": len(ontology.universe)},
         outputs={"concepts": str(concepts_path)},
     )
-    manifest.save(out_dir / "manifest.json")
-    return manifest
 
 
 def _style_for(config: ModelConfig, style: str | None) -> PromptStyle:
@@ -237,8 +257,7 @@ def run_probe(
             keep = sorted(rng.sample(range(len(concepts)), sample))
             concepts = [concepts[i] for i in keep]
 
-    cache = ResponseCache(cache_path if cache_path is not None else out_dir / "cache.ndjson")
-    gateway = ModelGateway(config, profile=profile, cache=cache, transport=transport)
+    gateway = _open_gateway(config, out_dir, cache_path, profile, transport)
     prompts = [render(template, concept) for concept in concepts]
     responses = gateway.complete_batch([(p, 0, None) for p in prompts])
 
@@ -258,13 +277,10 @@ def run_probe(
 
     scored_path = out_dir / "scored.ndjson"
     atomic_write_text(scored_path, write_scored_records(records))
-    manifest = RunManifest(
-        run_id=_run_id(
-            "probe",
-            [file_digest(ontology_path), config.digest(), str(seed), str(sample), prompt_style.value, language.upper()],
-        ),
-        command="probe",
-        timestamp=_now(),
+    return _finish_run(
+        out_dir,
+        "probe",
+        [file_digest(ontology_path), config.digest(), str(seed), str(sample), prompt_style.value, language.upper()],
         ontology=_ontology_descriptor(ontology_path, ontology),
         model_config_digest=config.digest(),
         template_keys=[f"{ontology.kind.value}/{prompt_style.value}/{language.upper()}"],
@@ -279,31 +295,8 @@ def run_probe(
             "from_cache": cached,
             "correct": sum(1 for r in records if r.correct),
         },
-        outputs={"scored": str(scored_path), "cache": str(cache.path)},
+        outputs={"scored": str(scored_path), "cache": str(gateway.cache.path)},
     )
-    manifest.save(out_dir / "manifest.json")
-    return manifest
-
-
-def _series_for_correlation(
-    assignment: BucketAssignment,
-    occurrences: list[OccurrenceRecord],
-    records: list[ProbeRecord],
-) -> tuple[list[float], list[float], list[int]]:
-    means = bucket_mean_counts(assignment, occurrences)
-    accuracies = per_bucket_accuracy(assignment, records)
-    xs, ys, buckets = [], [], []
-    for (bucket, acc), mean in zip(accuracies, means):
-        if acc is None or mean is None:
-            continue
-        xs.append(mean)
-        ys.append(acc)
-        buckets.append(bucket)
-    return xs, ys, buckets
-
-
-def _float_or_none(value):
-    return None if value is None else float(value)
 
 
 def run_analyze(
@@ -336,74 +329,56 @@ def run_analyze(
     records = read_scored_records(scored_path.read_text(encoding="utf-8"), ontology)
     if not records:
         raise ParseError(f"{scored_path} holds no scored records")
-    occurrences = read_occurrences(Path(occurrence_paths[0]).read_text(encoding="utf-8"))
-    if not occurrences:
-        raise ParseError(f"{occurrence_paths[0]} holds no occurrence records")
+    occurrences = _load_occurrences(occurrence_paths[0])
 
     assignment = bucketize(occurrences, buckets)
-    missing = sorted({r.concept.id for r in records if r.concept.id not in assignment.membership})
+    missing = {r.concept.id for r in records if r.concept.id not in assignment.membership}
     excluded = 0
     if missing:
         if not allow_missing:
-            shown = ", ".join(missing[:5])
+            shown = ", ".join(sorted(missing)[:5])
             raise ConfigurationError(
                 f"{len(missing)} scored concepts have no occurrence row (e.g. {shown}); "
                 "rerun with --allow-missing to exclude them"
             )
-        excluded = sum(1 for r in records if r.concept.id in set(missing))
-        records = [r for r in records if r.concept.id not in set(missing)]
+        kept = [r for r in records if r.concept.id not in missing]
+        excluded = len(records) - len(kept)
+        records = kept
         if not records:
             raise ConfigurationError("all scored records were excluded for missing occurrence rows")
 
-    xs, ys, series_buckets = _series_for_correlation(assignment, occurrences, records)
+    means = bucket_mean_counts(assignment, occurrences)
+    acc_rows = per_bucket_accuracy(assignment, records)
+    series = [(bucket, mean, acc) for (bucket, acc), mean in zip(acc_rows, means) if acc is not None and mean is not None]
+    xs = [mean for _bucket, mean, _acc in series]
+    ys = [acc for _bucket, _mean, acc in series]
     spearman_seed = derive_seed(seed, "analyze-spearman")
     correlation = spearman(xs, ys, n_permutations=permutations, seed=spearman_seed)
     # Granger needs a longer series than Spearman (3*lag + 2 points); a
     # short bucket series shouldn't take the correlation result with it.
-    granger_block: dict
     try:
-        causality = granger_f(xs, ys, lag=lag)
-        granger_block = {
-            "f_statistic": causality.f_statistic,
-            "p_value": causality.p_value,
-            "lag": causality.lag,
-            "n_effective": causality.n_effective,
-            "df": list(causality.df),
-        }
+        granger_block = asdict(granger_f(xs, ys, lag=lag))
     except (ValueError, DegenerateInputError) as exc:
         granger_block = {"error": str(exc), "lag": lag}
 
-    means = bucket_mean_counts(assignment, occurrences)
-    acc_rows = per_bucket_accuracy(assignment, records)
-    wrong_by_bucket: dict[int, list[ProbeRecord]] = {}
-    for r in records:
-        if not r.correct and r.predicted is not None:
-            wrong_by_bucket.setdefault(assignment.membership[r.concept.id], []).append(r)
-    per_bucket = []
-    for (bucket, acc), mean in zip(acc_rows, means):
-        wrong = wrong_by_bucket.get(bucket, [])
-        lev = [levenshtein(r.predicted, r.concept.id) for r in wrong]
-        jac = [
-            jaccard_label_similarity(r.concept.label, ontology.id_index[r.predicted].label)
-            for r in wrong
-            if r.predicted in ontology.id_index
-        ]
-        per_bucket.append(
-            {
-                "bucket": bucket,
-                "occupancy": assignment.occupancy[bucket - 1],
-                "mean_occurrence": _float_or_none(mean),
-                "n_scored": sum(1 for r in records if assignment.membership[r.concept.id] == bucket),
-                "accuracy": _float_or_none(acc),
-                "mean_levenshtein": sum(lev) / len(lev) if lev else None,
-                "n_levenshtein": len(lev),
-                "mean_jaccard": sum(jac) / len(jac) if jac else None,
-                "n_jaccard": len(jac),
-            }
-        )
-
-    overall_similarity = error_similarity(ontology, records)
-    overall_hallucination = hallucination_stats(ontology, records)
+    # One similarity pass over the wrong records; buckets and the overall
+    # figures aggregate the same per-record values in record order.
+    pairs = _error_pairs(ontology, records)
+    pairs_by_bucket: dict[int, list] = {}
+    for pair in pairs:
+        pairs_by_bucket.setdefault(assignment.membership[pair[0].concept.id], []).append(pair)
+    n_scored = Counter(assignment.membership[r.concept.id] for r in records)
+    per_bucket = [
+        {
+            "bucket": bucket,
+            "occupancy": assignment.occupancy[bucket - 1],
+            "mean_occurrence": mean,
+            "n_scored": n_scored[bucket],
+            "accuracy": acc,
+            **asdict(_mean_similarity(pairs_by_bucket.get(bucket, []))),
+        }
+        for (bucket, acc), mean in zip(acc_rows, means)
+    ]
     repeated = repeated_id_counts(records)
     bias = bias_ratio(assignment, repeated, top_k) if repeated else None
 
@@ -413,67 +388,40 @@ def run_analyze(
         "excluded_missing_occurrence": excluded,
         "overall": {
             "accuracy": accuracy(records),
-            "mean_levenshtein": overall_similarity.mean_levenshtein,
-            "n_levenshtein": overall_similarity.n_levenshtein,
-            "mean_jaccard": overall_similarity.mean_jaccard,
-            "n_jaccard": overall_similarity.n_jaccard,
-            "unique_predicted": overall_hallucination.unique_predicted,
-            "pct_unique_invented": overall_hallucination.pct_unique_invented,
-            "pct_errors_from_invented": overall_hallucination.pct_errors_from_invented,
+            **asdict(_mean_similarity(pairs)),
+            **asdict(hallucination_stats(ontology, records)),
         },
         "per_bucket": per_bucket,
-        "spearman": {
-            "rho": correlation.rho,
-            "p_value": correlation.p_value,
-            "n_permutations": correlation.n_permutations,
-            "seed": correlation.seed,
-            "series_buckets": series_buckets,
-        },
+        "spearman": {**asdict(correlation), "series_buckets": [bucket for bucket, _mean, _acc in series]},
         "granger": granger_block,
-        "bias": None
-        if bias is None
-        else {
-            "k": bias.k,
-            "n_concepts": bias.n_concepts,
-            "unassigned": bias.unassigned,
-            "per_bucket": [
-                {"bucket": b.bucket, "n_top": b.n_top, "bucket_size": b.bucket_size, "ratio": _float_or_none(b.ratio)}
-                for b in bias.per_bucket
-            ],
-        },
-    }
-
-    digests = [file_digest(scored_path), file_digest(ontology_path)]
-    parameters = {
-        "buckets": buckets,
-        "lag": lag,
-        "permutations": permutations,
-        "top_k": top_k,
-        "allow_missing": allow_missing,
-        "occurrences": [str(p) for p in occurrence_paths],
+        "bias": None if bias is None else asdict(bias),
     }
     if len(occurrence_paths) == 2:
         report["occurrence_comparison"] = _compare_occurrences(
             occurrences, Path(occurrence_paths[1]), buckets, permutations, derive_seed(seed, "analyze-comparison"), lag
         )
-    for p in occurrence_paths:
-        digests.append(file_digest(p))
 
     analysis_path = out_dir / "analysis.json"
-    atomic_write_text(analysis_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    manifest = RunManifest(
-        run_id=_run_id("analyze", digests + [str(seed), str(buckets), str(lag), str(permutations), str(top_k)]),
-        command="analyze",
-        timestamp=_now(),
+    _write_json(analysis_path, report)
+    return _finish_run(
+        out_dir,
+        "analyze",
+        [file_digest(scored_path), file_digest(ontology_path), *(file_digest(p) for p in occurrence_paths)]
+        + [str(seed), str(buckets), str(lag), str(permutations), str(top_k)],
         ontology=_ontology_descriptor(ontology_path, ontology),
         seed=seed,
         derived_seeds={"analyze-spearman": spearman_seed},
-        parameters=parameters,
+        parameters={
+            "buckets": buckets,
+            "lag": lag,
+            "permutations": permutations,
+            "top_k": top_k,
+            "allow_missing": allow_missing,
+            "occurrences": [str(p) for p in occurrence_paths],
+        },
         counts={"records": len(records), "excluded": excluded},
         outputs={"analysis": str(analysis_path)},
     )
-    manifest.save(out_dir / "manifest.json")
-    return manifest
 
 
 def _compare_occurrences(
@@ -536,9 +484,7 @@ def run_invariance(
     if not isinstance(config, ModelConfig):
         config = ModelConfig.from_file(config)
     ontology = load_ontology(ontology_path)
-    occurrences = read_occurrences(Path(occurrence_path).read_text(encoding="utf-8"))
-    if not occurrences:
-        raise ParseError(f"{occurrence_path} holds no occurrence records")
+    occurrences = _load_occurrences(occurrence_path)
     chosen = [inv.Strategy(s.upper()) for s in strategies]
     if not chosen:
         raise ConfigurationError("no invariance strategies selected")
@@ -551,10 +497,8 @@ def run_invariance(
     if not concepts:
         raise ConfigurationError("sampling produced no concepts; occurrence file matches no ontology concepts")
 
-    cache = ResponseCache(cache_path if cache_path is not None else out_dir / "cache.ndjson")
-    gateway = ModelGateway(config, profile=profile, cache=cache, transport=transport)
-
-    outputs: dict[str, str] = {"cache": str(cache.path)}
+    gateway = _open_gateway(config, out_dir, cache_path, profile, transport)
+    outputs: dict[str, str] = {"cache": str(gateway.cache.path)}
     report: dict = {
         "n_buckets": buckets,
         "k_sample": k_sample,
@@ -606,25 +550,21 @@ def run_invariance(
         report["strategies"][strategy.value] = strategy_report
 
     report_path = out_dir / "invariance_report.json"
-    atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(report_path, report)
     outputs["report"] = str(report_path)
-
-    manifest = RunManifest(
-        run_id=_run_id(
-            "invariance",
-            [
-                file_digest(ontology_path),
-                config.digest(),
-                file_digest(occurrence_path),
-                str(seed),
-                str(buckets),
-                str(k_sample),
-                str(m_repeats),
-                ",".join(s.value for s in chosen),
-            ],
-        ),
-        command="invariance",
-        timestamp=_now(),
+    return _finish_run(
+        out_dir,
+        "invariance",
+        [
+            file_digest(ontology_path),
+            config.digest(),
+            file_digest(occurrence_path),
+            str(seed),
+            str(buckets),
+            str(k_sample),
+            str(m_repeats),
+            ",".join(s.value for s in chosen),
+        ],
         ontology=_ontology_descriptor(ontology_path, ontology),
         model_config_digest=config.digest(),
         template_keys=sorted(
@@ -646,8 +586,6 @@ def run_invariance(
         counts=counts,
         outputs=outputs,
     )
-    manifest.save(out_dir / "manifest.json")
-    return manifest
 
 
 def default_recall_curve(count: int, max_count: int) -> float:
@@ -716,13 +654,12 @@ def run_simulate(
     config_path = out_dir / "model_config.json"
     atomic_write_text(concepts_path, write_concept_table(ontology))
     atomic_write_text(occurrences_path, write_occurrences(occurrence_records))
-    atomic_write_text(profile_path, json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n")
-    atomic_write_text(config_path, json.dumps(model_config, indent=2, sort_keys=True) + "\n")
-
-    manifest = RunManifest(
-        run_id=_run_id("simulate", [str(size), str(seed), str(max_exponent), style.value, str(temperature_sensitivity)]),
-        command="simulate",
-        timestamp=_now(),
+    _write_json(profile_path, profile.to_dict())
+    _write_json(config_path, model_config)
+    return _finish_run(
+        out_dir,
+        "simulate",
+        [str(size), str(seed), str(max_exponent), style.value, str(temperature_sensitivity)],
         seed=seed,
         derived_seeds={
             "simulate-counts": derive_seed(seed, "simulate-counts"),
@@ -742,8 +679,6 @@ def run_simulate(
             "model_config": str(config_path),
         },
     )
-    manifest.save(out_dir / "manifest.json")
-    return manifest
 
 
 def _format_cell(value) -> str:
@@ -752,6 +687,15 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _read_json(path: str | Path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def run_report(
@@ -766,21 +710,11 @@ def run_report(
     """
     analysis_path = Path(analysis_path)
     out_dir = Path(out_dir)
-    try:
-        analysis = json.loads(analysis_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read analysis file {analysis_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"analysis file {analysis_path} is not valid JSON: {exc}") from exc
+    analysis = _read_json(analysis_path, "analysis file")
 
     avpi: dict[str, dict[int, float]] = {"PI1": {}, "PI2": {}, "PI3": {}}
     if invariance_path is not None:
-        try:
-            invariance_report = json.loads(Path(invariance_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read invariance report {invariance_path}: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"invariance report {invariance_path} is not valid JSON: {exc}") from exc
+        invariance_report = _read_json(invariance_path, "invariance report")
         for name, strategy_report in invariance_report.get("strategies", {}).items():
             for row in strategy_report.get("per_bucket", []):
                 avpi.setdefault(name, {})[int(row["bucket"])] = float(row["avpi"])
@@ -836,13 +770,11 @@ def run_report(
     digests = [file_digest(analysis_path)]
     if invariance_path is not None:
         digests.append(file_digest(invariance_path))
-    manifest = RunManifest(
-        run_id=_run_id("report", digests),
-        command="report",
-        timestamp=_now(),
+    return _finish_run(
+        out_dir,
+        "report",
+        digests,
         parameters={"analysis": str(analysis_path), "invariance": str(invariance_path) if invariance_path else None},
         counts={"bucket_rows": len(analysis["per_bucket"])},
         outputs={"bucket_table": str(bucket_path), "summary": str(summary_path)},
     )
-    manifest.save(out_dir / "manifest.json")
-    return manifest

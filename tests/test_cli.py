@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 from conftest import make_ontology
-from ontoprobe.cli import main
+from ontoprobe import cli
+from ontoprobe.cli import build_parser, main
 from test_runs import write_corpus
 
 
@@ -87,6 +89,28 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run_cli("ingest", "--source", str(source), "--kind", "go", "--out", str(out)) == 0
         assert (out / "concepts.csv").exists()
+
+
+# The fewest arguments each subcommand accepts.
+MINIMAL_ARGS = {
+    "ingest": ["--source", "s", "--kind", "go", "--out", "o"],
+    "probe": ["--ontology", "c", "--model-config", "m", "--out", "o"],
+    "analyze": ["--scored", "s", "--ontology", "c", "--occurrences", "n", "--out", "o"],
+    "invariance": ["--ontology", "c", "--model-config", "m", "--occurrences", "n", "--out", "o"],
+    "simulate": ["--out", "o"],
+    "report": ["--analysis", "a", "--out", "o"],
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGS))
+    def test_namespace_matches_runner_parameters(self, command):
+        namespace = vars(build_parser().parse_args([command, *MINIMAL_ARGS[command]]))
+        assert namespace.pop("command") == command
+        parameters = set(inspect.signature(getattr(cli, f"run_{command}")).parameters)
+        # Library-only hooks: a test transport and an in-memory synthetic profile.
+        library_only = {"transport", "profile"} if command in ("probe", "invariance") else set()
+        assert set(namespace) == parameters - library_only
 
 
 class TestUsageErrors:

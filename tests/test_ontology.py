@@ -6,6 +6,7 @@ import pytest
 
 from ontoprobe import (
     Concept,
+    ConfigurationError,
     Ontology,
     OntologyKind,
     ParseError,
@@ -15,8 +16,10 @@ from ontoprobe import (
     parse_obo,
     parse_wikidata_sample,
     read_concept_table,
+    read_occurrences,
     write_concept_table,
 )
+from ontoprobe.prompts import load_translation_table
 
 
 class TestParseObo:
@@ -245,3 +248,49 @@ class TestCanonicalIcd10:
         for raw in ["A00", "A000", "E119", "S72001", "V97.33X"]:
             once = canonical_icd10(raw)
             assert canonical_icd10(once) == once
+
+
+# The three readers built on the shared header-checked CSV reader:
+# (parse, header, one valid row, error type raised).
+CSV_CALLERS = {
+    "concept table": (read_concept_table, "source,id,label", "GO,GO:0000001,kidney development", ParseError),
+    "occurrence file": (read_occurrences, "source,id,occurrences", "web,GO:0000001,12", ParseError),
+    "translation table": (
+        load_translation_table, "ontology,style,language,text", "GO,CHAT,IT,Dammi l'ID GO di {l}", ConfigurationError
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CSV_CALLERS))
+class TestSharedCsvReader:
+    def _raises(self, caller, text, match):
+        parse, _header, _row, error = CSV_CALLERS[caller]
+        with pytest.raises(error, match=match) as exc:
+            parse(text)
+        assert exc.type is error
+
+    def test_missing_header(self, caller):
+        self._raises(caller, "", f"^{caller}: missing header row")
+
+    def test_wrong_header(self, caller):
+        _parse, header, row, _error = CSV_CALLERS[caller]
+        self._raises(caller, f"{header},extra\n{row}\n", f"^{caller}: expected header {header}, got")
+
+    def test_wrong_row_width_names_the_row(self, caller):
+        _parse, header, row, _error = CSV_CALLERS[caller]
+        short = row.rsplit(",", 1)[0]
+        width = header.count(",") + 1
+        self._raises(
+            caller, f"{header}\n{row}\n{short}\n", f"^{caller}: row 3 has {width - 1} fields, expected {width}$"
+        )
+
+    def test_blank_rows_skipped(self, caller):
+        parse, header, row, _error = CSV_CALLERS[caller]
+        parsed = parse(f"{header}\n\n   \n{row}\n\n")
+        items = parsed.concepts if caller == "concept table" else parsed
+        assert len(items) == 1
+
+    def test_row_level_error_names_the_row(self, caller):
+        parse, header, row, _error = CSV_CALLERS[caller]
+        bad = ",".join(["BOGUS", *row.split(",")[1:]]) if caller != "occurrence file" else "web,GO:0000001,many"
+        self._raises(caller, f"{header}\n\n{bad}\n", f"^{caller}: row 3")

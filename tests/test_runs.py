@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -32,9 +33,12 @@ from ontoprobe import (
     run_probe,
     run_report,
     run_simulate,
+    score,
     write_concept_table,
     write_occurrences,
+    write_scored_records,
 )
+from ontoprobe import metrics, runs
 from ontoprobe.gateway import TransportFailure
 
 
@@ -65,6 +69,15 @@ class TestAtomicWrite:
         atomic_write_text(target, "one")
         atomic_write_text(target, "two")
         assert target.read_text(encoding="utf-8") == "two"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "file.txt", "x")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "file.txt").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestIngest:
@@ -345,6 +358,52 @@ class TestAnalyze:
             allow_missing=True,
         )
         assert manifest.counts == {"records": 24, "excluded": 6}
+
+    def test_one_similarity_pass_per_wrong_record(self, tmp_path, monkeypatch):
+        ontology = make_ontology(80)
+        concepts = ontology.concepts
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        # Cycle through correct, wrong-but-real (has a Jaccard), invented
+        # and absent predictions.
+        def prediction(i, concept):
+            return [concept.id, concepts[(i + 7) % 80].id, f"GO:99{i:05d}", None][i % 4]
+
+        records = [score(ontology, c, prediction(i, c)) for i, c in enumerate(concepts)]
+        scored_path = tmp_path / "scored.ndjson"
+        atomic_write_text(scored_path, write_scored_records(records))
+        # 10 concepts lack an occurrence row and are excluded.
+        occurrences_path = tmp_path / "partial.csv"
+        atomic_write_text(
+            occurrences_path,
+            write_occurrences([OccurrenceRecord(c.id, "corpus", 3 * i + 1) for i, c in enumerate(concepts[:70])]),
+        )
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        original = metrics.levenshtein
+        monkeypatch.setattr(metrics, "levenshtein", counting)
+        monkeypatch.setattr(runs, "levenshtein", counting)
+        run_analyze(
+            scored_path, concepts_path, [occurrences_path], tmp_path / "analysis",
+            buckets=7, permutations=100, allow_missing=True,
+        )
+        analysis = json.loads((tmp_path / "analysis" / "analysis.json").read_text(encoding="utf-8"))
+
+        kept = records[:70]
+        wrong = [(r.predicted, r.concept.id) for r in kept if not r.correct and r.predicted is not None]
+        assert calls == wrong
+        assert analysis["n_records"] == 70
+        assert analysis["excluded_missing_occurrence"] == 10
+        overall = analysis["overall"]
+        assert overall["n_levenshtein"] == len(wrong) == 35
+        assert overall["n_jaccard"] == 18
+        per_bucket = analysis["per_bucket"]
+        assert sum(row["n_scored"] for row in per_bucket) == analysis["n_records"]
+        assert sum(row["n_levenshtein"] for row in per_bucket) == overall["n_levenshtein"]
+        assert sum(row["n_jaccard"] for row in per_bucket) == overall["n_jaccard"]
 
     def test_constant_accuracy_is_degenerate(self, tmp_path):
         ontology = make_ontology(40)
