@@ -4,8 +4,9 @@ Three providers: an OpenAI-compatible chat endpoint, an OpenAI-compatible
 text-completion endpoint, and a built-in synthetic memorizer used to
 validate the whole pipeline offline. All providers sit behind the same
 append-only response cache, keyed by (provider, model, temperature,
-prompt text, repetition tag) so that deliberate repeats bypass earlier
-answers while everything else is resumable.
+prompt text, repetition tag, model identity) so that deliberate repeats
+bypass earlier answers, a cache shared between configs never replays
+answers given by another model, and everything else is resumable.
 
 The synthetic memorizer answers the gold ID with a per-concept recall
 probability that decays linearly with temperature, and otherwise
@@ -120,7 +121,11 @@ class ModelConfig:
         return out
 
     def digest(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
+        return _digest(self.to_dict())
+
+
+def _digest(data: dict) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -218,9 +223,10 @@ class SyntheticProfile:
         return out
 
 
-def cache_key(provider: Provider, model_name: str, temperature: float, prompt_text: str, repetition_tag: int) -> str:
+def cache_key(provider: Provider, model_name: str, temperature: float, prompt_text: str, repetition_tag: int, identity: str) -> str:
+    """`identity` is the answering gateway's `ModelGateway.identity`."""
     material = json.dumps(
-        [provider.value, model_name, repr(float(temperature)), prompt_text, int(repetition_tag)],
+        [provider.value, model_name, repr(float(temperature)), prompt_text, int(repetition_tag), identity],
         ensure_ascii=False,
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -229,16 +235,29 @@ def cache_key(provider: Provider, model_name: str, temperature: float, prompt_te
 class ResponseCache:
     """Append-only newline-delimited JSON store of raw responses.
 
-    A partially written final line (crash mid-append) is ignored on
-    load; corruption anywhere else is an error.
+    A line counts once its newline is written. A torn final line (crash
+    mid-append) is ignored on load and cut off before the first append;
+    a corrupt final line is ignored; corruption anywhere else is an
+    error. Appends go through one handle, flushed after every line and
+    released by close().
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
+        self._handle = None
+        self._torn_at: int | None = None
+        self._loaded_size = 0
         if self.path.exists():
-            lines = self.path.read_text(encoding="utf-8").splitlines()
+            data = self.path.read_bytes()
+            self._loaded_size = len(data)
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                self._torn_at = end
+            # Split on newlines only: str.splitlines() also breaks at
+            # U+2028 and U+0085, which json.dumps leaves unescaped.
+            lines = data[:end].decode("utf-8").split("\n")[:-1]
             for idx, line in enumerate(lines):
                 if not line.strip():
                     continue
@@ -269,9 +288,22 @@ class ResponseCache:
                 "raw_text": raw_text,
                 "timestamp": time.time(),
             }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                # Cut only if nobody appended since load; otherwise the
+                # cut would drop their lines, and the loader skips ours.
+                if self._torn_at is not None and os.stat(self.path).st_size == self._loaded_size:
+                    os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 def _mutate_one_digit(concept_id: str, rng: random.Random) -> str:
@@ -339,10 +371,11 @@ class ModelGateway:
     """Dispatches rendered prompts to the configured provider.
 
     Responses are served from the cache when the same request was made
-    before with the same repetition tag. HTTP errors are retried with
-    exponential backoff within the attempt budget; after that a request
-    surfaces as TransportExhausted, which batch completion records as a
-    missing response rather than aborting the run.
+    before by the same model (same identity), with the same repetition
+    tag. HTTP errors are retried with exponential backoff within the
+    attempt budget; after that a request surfaces as TransportExhausted,
+    which batch completion records as a missing response rather than
+    aborting the run.
     """
 
     def __init__(
@@ -367,52 +400,74 @@ class ModelGateway:
                 if config.profile_path is None:
                     raise ConfigurationError("SYNTHETIC provider requires a profile or profile_path")
                 profile = SyntheticProfile.from_file(config.profile_path)
+            answer_inputs = {"seed": config.seed, "profile": profile.to_dict()}
+        else:
+            answer_inputs = {"endpoint": config.endpoint, "max_new_tokens": config.max_new_tokens}
         self.profile = profile
+        # What decides the answers besides the cache key's own provider,
+        # model name, temperature, prompt and tag. Pacing and retry fields
+        # are left out, so tuning them keeps the cache.
+        self.identity = _digest(answer_inputs)
 
     def complete(self, prompt: RenderedPrompt, repetition_tag: int = 0, temperature: float | None = None) -> ModelResponse:
-        temp = self.config.temperature if temperature is None else float(temperature)
-        if not (0.0 <= temp <= 1.0):
-            raise ConfigurationError(f"temperature must be within [0,1], got {temp}")
-        key = cache_key(self.config.provider, self.config.model_name, temp, prompt.text, repetition_tag)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return ModelResponse(key, hit, 0.0, True)
-        started = self._time_fn()
-        if self.config.provider is Provider.SYNTHETIC:
-            raw_text = self._dispatch_synthetic(prompt, temp, repetition_tag)
-        else:
-            raw_text = self._dispatch_http(prompt, temp)
-        latency = self._time_fn() - started
-        if self.cache is not None:
-            self.cache.put(key, self._config_digest, prompt.text, raw_text)
-        return ModelResponse(key, raw_text, latency, False)
+        key, temp, hit = self._lookup(prompt, repetition_tag, temperature)
+        return hit or self._dispatch(key, prompt, repetition_tag, temp)
 
     def complete_batch(self, items: list[tuple[RenderedPrompt, int, float | None]]) -> list[ModelResponse | None]:
-        """Complete many requests with bounded parallelism.
+        """Complete many requests, answering cache hits first.
 
+        Hits and the CPU-bound synthetic model run in the calling thread;
+        only HTTP misses go to a pool of at most max_in_flight workers.
         Returns responses in input order; an entry is None when that
         request exhausted its transport retries. Configuration errors
         abort the whole batch.
         """
         results: list[ModelResponse | None] = [None] * len(items)
+        misses = []
+        for index, (prompt, tag, temperature) in enumerate(items):
+            key, temp, results[index] = self._lookup(prompt, tag, temperature)
+            if results[index] is None:
+                misses.append((index, key, prompt, tag, temp))
 
-        def work(index: int) -> None:
-            prompt, tag, temp = items[index]
+        def work(index: int, key: str, prompt: RenderedPrompt, tag: int, temp: float) -> None:
             try:
-                results[index] = self.complete(prompt, tag, temp)
+                results[index] = self._dispatch(key, prompt, tag, temp)
             except TransportExhausted:
-                results[index] = None
+                pass
 
-        if self.config.max_in_flight == 1 or len(items) <= 1:
-            for i in range(len(items)):
-                work(i)
+        if self.config.provider is Provider.SYNTHETIC or self.config.max_in_flight == 1 or len(misses) <= 1:
+            for miss in misses:
+                work(*miss)
             return results
         with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            futures = [pool.submit(work, i) for i in range(len(items))]
+            futures = [pool.submit(work, *miss) for miss in misses]
             for future in as_completed(futures):
                 future.result()
         return results
+
+    def _lookup(
+        self, prompt: RenderedPrompt, repetition_tag: int, temperature: float | None
+    ) -> tuple[str, float, ModelResponse | None]:
+        """The request's cache key and temperature, and its cached response if any."""
+        config = self.config
+        temp = config.temperature if temperature is None else float(temperature)
+        if not (0.0 <= temp <= 1.0):
+            raise ConfigurationError(f"temperature must be within [0,1], got {temp}")
+        key = cache_key(config.provider, config.model_name, temp, prompt.text, repetition_tag, self.identity)
+        hit = self.cache.get(key) if self.cache is not None else None
+        return key, temp, None if hit is None else ModelResponse(key, hit, 0.0, True)
+
+    def _dispatch(self, key: str, prompt: RenderedPrompt, repetition_tag: int, temperature: float) -> ModelResponse:
+        """Ask the provider, then record the answer in the cache."""
+        started = self._time_fn()
+        if self.config.provider is Provider.SYNTHETIC:
+            raw_text = self._dispatch_synthetic(prompt, temperature, repetition_tag)
+        else:
+            raw_text = self._dispatch_http(prompt, temperature)
+        latency = self._time_fn() - started
+        if self.cache is not None:
+            self.cache.put(key, self._config_digest, prompt.text, raw_text)
+        return ModelResponse(key, raw_text, latency, False)
 
     def _dispatch_synthetic(self, prompt: RenderedPrompt, temperature: float, repetition_tag: int) -> str:
         assert self.profile is not None
@@ -435,6 +490,7 @@ class ModelGateway:
             payload = {
                 "model": self.config.model_name,
                 "temperature": temperature,
+                "max_tokens": self.config.max_new_tokens,
                 "messages": [{"role": "user", "content": prompt.text}],
             }
         else:

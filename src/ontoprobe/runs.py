@@ -19,6 +19,7 @@ import os
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -169,10 +170,15 @@ def _load_occurrences(path: str | Path) -> list[OccurrenceRecord]:
     return occurrences
 
 
-def _open_gateway(config: ModelConfig, out_dir: Path, cache_path, profile, transport) -> ModelGateway:
-    """Gateway over the run's response cache (default <out_dir>/cache.ndjson)."""
+@contextmanager
+def _open_gateway(config: ModelConfig, out_dir: Path, cache_path, profile, transport):
+    """Gateway over the run's response cache (default <out_dir>/cache.ndjson),
+    whose append handle is closed when the block ends."""
     cache = ResponseCache(cache_path if cache_path is not None else out_dir / "cache.ndjson")
-    return ModelGateway(config, profile=profile, cache=cache, transport=transport)
+    try:
+        yield ModelGateway(config, profile=profile, cache=cache, transport=transport)
+    finally:
+        cache.close()
 
 
 def run_ingest(
@@ -257,9 +263,9 @@ def run_probe(
             keep = sorted(rng.sample(range(len(concepts)), sample))
             concepts = [concepts[i] for i in keep]
 
-    gateway = _open_gateway(config, out_dir, cache_path, profile, transport)
-    prompts = [render(template, concept) for concept in concepts]
-    responses = gateway.complete_batch([(p, 0, None) for p in prompts])
+    with _open_gateway(config, out_dir, cache_path, profile, transport) as gateway:
+        prompts = [render(template, concept) for concept in concepts]
+        responses = gateway.complete_batch([(p, 0, None) for p in prompts])
 
     rule = default_rules()[ontology.kind]
     cue = completion_cue(template.text)
@@ -497,57 +503,57 @@ def run_invariance(
     if not concepts:
         raise ConfigurationError("sampling produced no concepts; occurrence file matches no ontology concepts")
 
-    gateway = _open_gateway(config, out_dir, cache_path, profile, transport)
-    outputs: dict[str, str] = {"cache": str(gateway.cache.path)}
-    report: dict = {
-        "n_buckets": buckets,
-        "k_sample": k_sample,
-        "n_sampled": len(concepts),
-        "strategies": {},
-    }
-    counts: dict[str, int] = {"sampled": len(concepts)}
-    for strategy in chosen:
-        if strategy is inv.Strategy.PI1:
-            records = inv.run_pi1(gateway, concepts, m=m_repeats, style=prompt_style)
-        elif strategy is inv.Strategy.PI2:
-            records = inv.run_pi2(gateway, concepts, style=prompt_style)
-        else:
-            records = inv.run_pi3(gateway, concepts, style=prompt_style)
-        path = out_dir / f"invariance_{strategy.value.lower()}.ndjson"
-        atomic_write_text(path, inv.write_invariance_records(records))
-        outputs[strategy.value.lower()] = str(path)
-        counts[f"answers_{strategy.value.lower()}"] = sum(r.m for r in records)
-
-        rows = inv.aggregate_avpi(records, assignment, ontology)
-        avpi_series = [row.avpi for row in rows]
-        acc_series = [row.accuracy for row in rows]
-        strategy_report = {
-            "per_bucket": [
-                {
-                    "bucket": row.bucket,
-                    "avpi": row.avpi,
-                    "accuracy": row.accuracy,
-                    "k_sampled": row.k_sampled,
-                }
-                for row in rows
-            ],
+    with _open_gateway(config, out_dir, cache_path, profile, transport) as gateway:
+        outputs: dict[str, str] = {"cache": str(gateway.cache.path)}
+        report: dict = {
+            "n_buckets": buckets,
+            "k_sample": k_sample,
+            "n_sampled": len(concepts),
+            "strategies": {},
         }
-        if len(avpi_series) < 3:
-            strategy_report["avpi_accuracy_spearman"] = {
-                "error": f"only {len(avpi_series)} occupied buckets; correlation needs at least 3"
+        counts: dict[str, int] = {"sampled": len(concepts)}
+        for strategy in chosen:
+            if strategy is inv.Strategy.PI1:
+                records = inv.run_pi1(gateway, concepts, m=m_repeats, style=prompt_style)
+            elif strategy is inv.Strategy.PI2:
+                records = inv.run_pi2(gateway, concepts, style=prompt_style)
+            else:
+                records = inv.run_pi3(gateway, concepts, style=prompt_style)
+            path = out_dir / f"invariance_{strategy.value.lower()}.ndjson"
+            atomic_write_text(path, inv.write_invariance_records(records))
+            outputs[strategy.value.lower()] = str(path)
+            counts[f"answers_{strategy.value.lower()}"] = sum(r.m for r in records)
+
+            rows = inv.aggregate_avpi(records, assignment, ontology)
+            avpi_series = [row.avpi for row in rows]
+            acc_series = [row.accuracy for row in rows]
+            strategy_report = {
+                "per_bucket": [
+                    {
+                        "bucket": row.bucket,
+                        "avpi": row.avpi,
+                        "accuracy": row.accuracy,
+                        "k_sampled": row.k_sampled,
+                    }
+                    for row in rows
+                ],
             }
-        else:
-            try:
-                correlation = spearman(
-                    avpi_series, acc_series, n_permutations=permutations, seed=derive_seed(seed, f"avpi-{strategy.value}")
-                )
+            if len(avpi_series) < 3:
                 strategy_report["avpi_accuracy_spearman"] = {
-                    "rho": correlation.rho,
-                    "p_value": correlation.p_value,
+                    "error": f"only {len(avpi_series)} occupied buckets; correlation needs at least 3"
                 }
-            except DegenerateInputError as exc:
-                strategy_report["avpi_accuracy_spearman"] = {"error": str(exc)}
-        report["strategies"][strategy.value] = strategy_report
+            else:
+                try:
+                    correlation = spearman(
+                        avpi_series, acc_series, n_permutations=permutations, seed=derive_seed(seed, f"avpi-{strategy.value}")
+                    )
+                    strategy_report["avpi_accuracy_spearman"] = {
+                        "rho": correlation.rho,
+                        "p_value": correlation.p_value,
+                    }
+                except DegenerateInputError as exc:
+                    strategy_report["avpi_accuracy_spearman"] = {"error": str(exc)}
+            report["strategies"][strategy.value] = strategy_report
 
     report_path = out_dir / "invariance_report.json"
     _write_json(report_path, report)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .errors import DegenerateInputError
 
@@ -47,6 +46,19 @@ def _as_series(name: str, values) -> np.ndarray:
     return arr
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank (rankdata's "average")."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_run = np.r_[True, ordered[1:] != ordered[:-1]]
+    # A run of ties over sorted positions [s, e) takes rank (s + 1 + e) / 2.
+    bounds = np.r_[np.flatnonzero(new_run), len(values)]
+    run = np.cumsum(new_run) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return ranks
+
+
 def spearman(x, y, n_permutations: int = 10000, seed: int = 0) -> CorrelationResult:
     """Spearman rank correlation with a two-sided permutation p-value.
 
@@ -63,8 +75,8 @@ def spearman(x, y, n_permutations: int = 10000, seed: int = 0) -> CorrelationRes
     if n_permutations < 1:
         raise ValueError("n_permutations must be positive")
 
-    rx = scipy_stats.rankdata(xs, method="average")
-    ry = scipy_stats.rankdata(ys, method="average")
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     xc = rx - rx.mean()
     yc = ry - ry.mean()
     nx = float(np.sqrt(xc @ xc))
@@ -145,5 +157,8 @@ def granger_f(x, y, lag: int = 3) -> GrangerResult:
     if rss_u <= 0.0:
         raise DegenerateInputError("unrestricted model fits exactly; F-statistic undefined")
     f_statistic = (max(rss_r - rss_u, 0.0) / lag) / (rss_u / df_den)
-    p_value = float(scipy_stats.f.sf(f_statistic, lag, df_den))
+    # F survival function; imported here so only analyze pays for scipy.
+    from scipy.special import fdtrc
+
+    p_value = float(fdtrc(lag, df_den, f_statistic))
     return GrangerResult(f_statistic, p_value, lag, n_effective, (lag, df_den))

@@ -233,3 +233,20 @@ class TestInstalledEntrypoint:
         )
         assert result.returncode == 0
         assert "ingest" in result.stdout and "simulate" in result.stdout
+
+
+class TestImportPath:
+    def test_cli_import_leaves_scipy_out(self):
+        # Every stage starts by importing the CLI; only analyze's F-test
+        # loads scipy.special, lazily.
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, ontoprobe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

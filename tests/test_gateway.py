@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
 from conftest import make_config, make_ontology, make_profile
+from ontoprobe import gateway as gateway_module
 from ontoprobe import (
     Concept,
     ConfigurationError,
@@ -76,13 +78,66 @@ class TestModelConfig:
 class TestCacheKey:
     def test_distinguishes_repetition_tags(self):
         base = (Provider.SYNTHETIC, "m", 0.0, "prompt")
-        assert cache_key(*base, 0) != cache_key(*base, 1)
+        assert cache_key(*base, 0, "i") != cache_key(*base, 1, "i")
 
     def test_distinguishes_temperature(self):
-        assert cache_key(Provider.SYNTHETIC, "m", 0.0, "p", 0) != cache_key(Provider.SYNTHETIC, "m", 0.1, "p", 0)
+        assert cache_key(Provider.SYNTHETIC, "m", 0.0, "p", 0, "i") != cache_key(Provider.SYNTHETIC, "m", 0.1, "p", 0, "i")
 
     def test_equal_inputs_equal_keys(self):
-        assert cache_key(Provider.SYNTHETIC, "m", 0.3, "p", 2) == cache_key(Provider.SYNTHETIC, "m", 0.3, "p", 2)
+        assert cache_key(Provider.SYNTHETIC, "m", 0.3, "p", 2, "i") == cache_key(Provider.SYNTHETIC, "m", 0.3, "p", 2, "i")
+
+    def test_distinguishes_identity(self):
+        base = (Provider.SYNTHETIC, "m", 0.0, "p", 0)
+        assert cache_key(*base, "a") != cache_key(*base, "b")
+
+
+def _gateway_key(config: dict, profile=None) -> str:
+    """The cache key a gateway built from `config` gives one fixed request."""
+    model = ModelConfig.from_dict(config)
+    identity = ModelGateway(model, profile=profile).identity
+    return cache_key(model.provider, model.model_name, 0.0, "p", 0, identity)
+
+
+_HTTP_BASE = {"provider": "CHAT_HTTP", "model_name": "m", "endpoint": "https://a.test"}
+_PACING = [
+    {"temperature": 0.7},
+    {"max_in_flight": 9},
+    {"requests_per_minute": 30.0},
+    {"max_attempts": 2},
+    {"backoff_base": 3.0},
+]
+
+
+class TestGatewayIdentity:
+    @pytest.mark.parametrize("change", _PACING + [{"seed": 1}])
+    def test_http_fields_never_sent_leave_key(self, change):
+        assert _gateway_key({**_HTTP_BASE, **change}) == _gateway_key(_HTTP_BASE)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model_name": "other"},
+            {"provider": "COMPLETION_HTTP"},
+            {"endpoint": "https://b.test"},
+            {"max_new_tokens": 11},
+        ],
+    )
+    def test_http_answer_fields_change_key(self, change):
+        assert _gateway_key({**_HTTP_BASE, **change}) != _gateway_key(_HTTP_BASE)
+
+    @pytest.mark.parametrize("change", _PACING + [{"max_new_tokens": 11}, {"profile_path": "/moved/profile.json"}])
+    def test_synthetic_fields_outside_answers_leave_key(self, change):
+        profile = make_profile(make_ontology(3), recall=0.5)
+        base = {"provider": "SYNTHETIC", "model_name": "m"}
+        assert _gateway_key({**base, **change}, profile) == _gateway_key(base, profile)
+
+    def test_synthetic_key_follows_seed_and_profile_contents(self):
+        ontology = make_ontology(3)
+        base = {"provider": "SYNTHETIC", "model_name": "m"}
+        key = _gateway_key(base, make_profile(ontology, recall=0.5))
+        assert _gateway_key({**base, "seed": 1}, make_profile(ontology, recall=0.5)) != key
+        assert _gateway_key(base, make_profile(ontology, recall=0.4)) != key
+        assert _gateway_key(base, make_profile(ontology, recall=0.5, style=HallucinationStyle.NEAR_MISS)) != key
 
 
 class TestResponseCache:
@@ -90,6 +145,7 @@ class TestResponseCache:
         cache = ResponseCache(tmp_path / "cache.ndjson")
         raw = 'GO:0001822 — "kidney"\n\ttail'
         cache.put("k1", "digest", "prompt", raw)
+        cache.close()
         again = ResponseCache(tmp_path / "cache.ndjson")
         assert again.get("k1") == raw
 
@@ -98,6 +154,7 @@ class TestResponseCache:
         cache = ResponseCache(path)
         cache.put("k1", "d", "p", "first")
         cache.put("k1", "d", "p", "second")
+        cache.close()
         assert cache.get("k1") == "first"
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
 
@@ -106,6 +163,7 @@ class TestResponseCache:
         cache = ResponseCache(path)
         cache.put("k1", "d", "p", "one")
         cache.put("k2", "d", "p", "two")
+        cache.close()
         text = path.read_text(encoding="utf-8")
         path.write_text(text + '{"key_hash": "k3", "raw', encoding="utf-8")
         again = ResponseCache(path)
@@ -121,6 +179,85 @@ class TestResponseCache:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert len(ResponseCache(tmp_path / "absent.ndjson")) == 0
+
+    def test_torn_final_line_cut_before_first_append(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        cache = ResponseCache(path)
+        cache.put("k1", "d", "p", "one")
+        cache.put("k2", "d", "p", "two")
+        cache.close()
+        path.write_text(path.read_text(encoding="utf-8") + '{"key_hash": "k3", "raw', encoding="utf-8")
+        resumed = ResponseCache(path)
+        resumed.put("k3", "d", "p", "three")
+        resumed.close()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+        again = ResponseCache(path)
+        assert [again.get(k) for k in ("k1", "k2", "k3")] == ["one", "two", "three"]
+
+    def test_torn_line_kept_when_file_grew_since_load(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        path.write_text('{"key_hash": "k1", "raw_text": "one"}\n{"key_h', encoding="utf-8")
+        resumed = ResponseCache(path)
+        other = '{"key_hash": "k2", "raw_text": "two"}\n'
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(other)
+        resumed.put("k3", "d", "p", "three")
+        resumed.close()
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith('{"key_hash": "k1", "raw_text": "one"}\n{"key_h' + other)
+        assert text.count("\n") == 3
+
+    def test_torn_line_left_alone_without_appends(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        path.write_text('{"key_hash": "k1", "raw_text": "one"}\n{"key_h', encoding="utf-8")
+        ResponseCache(path).close()
+        assert path.read_text(encoding="utf-8").endswith('{"key_h')
+
+    def test_unicode_line_separators_in_text_round_trip(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        cache = ResponseCache(path)
+        raw = "GO:0000001\u2028next\x85line\u2029end"
+        cache.put("k1", "d", "p", raw)
+        cache.put("k2", "d", "p", "two")
+        cache.close()
+        again = ResponseCache(path)
+        assert again.get("k1") == raw
+        assert again.get("k2") == "two"
+
+    def test_concurrent_appends_share_one_handle_intact(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        cache = ResponseCache(path)
+
+        def writer(w: int) -> None:
+            for i in range(150):
+                cache.put(f"k{w}-{i}", "d", "p", f"answer {w} {i} " + "x" * (i % 40))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(worker.is_alive() for worker in workers)
+        cache.close()
+        again = ResponseCache(path)
+        assert len(again) == len(path.read_text(encoding="utf-8").splitlines()) == 8 * 150
+        assert again.get("k7-149") == "answer 7 149 " + "x" * 29
+
+    def test_each_append_is_on_disk_before_close(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        cache = ResponseCache(path)
+        cache.put("k1", "d", "p", "one")
+        assert ResponseCache(path).get("k1") == "one"
+        cache.close()
+        cache.close()
+        cache.put("k2", "d", "p", "two")
+        cache.close()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestSyntheticRespond:
@@ -256,6 +393,7 @@ class TestGatewayCaching:
         prompt = chat_prompt(ontology.concepts[0])
         first = gateway.complete(prompt)
         second = gateway.complete(prompt)
+        cache.close()
         assert not first.from_cache
         assert second.from_cache
         assert second.raw_text == first.raw_text
@@ -268,6 +406,7 @@ class TestGatewayCaching:
         prompt = chat_prompt(ontology.concepts[0])
         first = gateway.complete(prompt, repetition_tag=0)
         second = gateway.complete(prompt, repetition_tag=1)
+        cache.close()
         assert not first.from_cache and not second.from_cache
         assert len(cache) == 2
 
@@ -323,6 +462,7 @@ class TestHttpDispatch:
         assert url == "https://api.example.test/v1/chat/completions"
         assert payload["model"] == "test-model"
         assert payload["temperature"] == 0.0
+        assert payload["max_tokens"] == 10
         assert payload["messages"] == [{"role": "user", "content": chat_prompt(concept).text}]
         assert "Authorization" not in headers
 
@@ -448,6 +588,44 @@ class TestBatch:
         gateway = ModelGateway(config, transport=transport, sleep_fn=lambda s: None)
         gateway.complete_batch([(chat_prompt(c), 0, None) for c in ontology.concepts])
         assert 1 <= state["max_active"] <= 3
+
+
+    def test_synthetic_batch_never_uses_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a SYNTHETIC batch must not start worker threads")
+
+        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", no_pool)
+        ontology = make_ontology(30)
+        profile = make_profile(ontology, recall=1.0)
+        cache = ResponseCache(tmp_path / "cache.ndjson")
+        config = ModelConfig(Provider.SYNTHETIC, "m", max_in_flight=4)
+        gateway = ModelGateway(config, profile=profile, cache=cache)
+        items = [(chat_prompt(c), 0, None) for c in ontology.concepts]
+        first = gateway.complete_batch(items)
+        second = gateway.complete_batch(items)
+        cache.close()
+        assert [r.raw_text for r in first] == [c.id for c in ontology.concepts]
+        assert not any(r.from_cache for r in first)
+        assert all(r.from_cache for r in second)
+
+    def test_all_hits_make_no_provider_calls(self, tmp_path, monkeypatch):
+        ontology = make_ontology(12)
+        transport = ScriptedTransport([(200, _openai_chat_body("GO:0000001"))])
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=3)
+        cache = ResponseCache(tmp_path / "cache.ndjson")
+        gateway = ModelGateway(config, cache=cache, transport=transport, sleep_fn=lambda s: None)
+        items = [(chat_prompt(c), 0, None) for c in ontology.concepts]
+        gateway.complete_batch(items)
+        assert len(transport.calls) == 12
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an all-hit batch must not start worker threads")
+
+        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", no_pool)
+        responses = gateway.complete_batch(items)
+        cache.close()
+        assert len(transport.calls) == 12
+        assert all(r.from_cache and r.raw_text == "GO:0000001" for r in responses)
 
 
 class TestThrottle:

@@ -1,12 +1,24 @@
-"""Properties of ID extraction and canonicalisation that hold for every input."""
+"""Properties that hold for every input: ID extraction and canonicalisation,
+and the numpy/scipy.special statistics against their scipy.stats references."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
-from ontoprobe import OntologyKind, canonical_icd10, default_rules, extract_id, normalize_id
+from ontoprobe import (
+    DegenerateInputError,
+    OntologyKind,
+    canonical_icd10,
+    default_rules,
+    extract_id,
+    granger_f,
+    normalize_id,
+)
 from ontoprobe.ontology import ID_PATTERNS
+from ontoprobe.stats import _average_ranks
 
 # Bounded so the suite stays quick; the deadline is generous because a
 # loaded machine would otherwise turn a slow example into a failure.
@@ -46,3 +58,31 @@ def test_canonical_icd10_is_idempotent(code):
     if once is not None:
         assert ID_PATTERNS[OntologyKind.ICD10].match(once)
         assert canonical_icd10(once) == once
+
+
+# Small value pools force ties, which is where average ranking can go wrong.
+TIED_SERIES = st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1e-300, 3.0, 7.25]), min_size=1, max_size=60)
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@BOUNDED
+@given(values=st.one_of(TIED_SERIES, st.lists(FINITE, min_size=1, max_size=60)))
+def test_average_ranks_match_rankdata_bitwise(values):
+    arr = np.asarray(values, dtype=float)
+    assert _average_ranks(arr).tobytes() == scipy_stats.rankdata(arr, method="average").tobytes()
+
+
+@BOUNDED
+@given(
+    lag=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_granger_p_value_is_f_survival_function(lag, data):
+    n = data.draw(st.integers(min_value=3 * lag + 2, max_value=30))
+    xs = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+    ys = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+    try:
+        result = granger_f(xs, ys, lag=lag)
+    except DegenerateInputError:
+        assume(False)
+    assert result.p_value == float(scipy_stats.f.sf(result.f_statistic, *result.df))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -213,6 +215,69 @@ class TestProbe:
             tmp_path / "two" / "scored.ndjson"
         ).read_bytes()
         assert first.run_id == second.run_id
+
+    def test_torn_cache_line_survives_two_resumes(self, tmp_path):
+        ontology = make_ontology(200)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        profile = make_profile(ontology, recall=0.6)
+        run_probe(concepts_path, make_config(seed=2), tmp_path / "one", profile=profile)
+
+        # a kill mid-append: 150 whole lines, then half of line 151
+        lines = (tmp_path / "one" / "cache.ndjson").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "two").mkdir()
+        torn = "".join(lines[:150]) + lines[150][: len(lines[150]) // 2]
+        (tmp_path / "two" / "cache.ndjson").write_text(torn, encoding="utf-8")
+
+        expected = (tmp_path / "one" / "scored.ndjson").read_bytes()
+        for from_cache in (150, 200):
+            manifest = run_probe(concepts_path, make_config(seed=2), tmp_path / "two", profile=profile)
+            assert manifest.counts["from_cache"] == from_cache
+            assert (tmp_path / "two" / "scored.ndjson").read_bytes() == expected
+        assert len((tmp_path / "two" / "cache.ndjson").read_text(encoding="utf-8").splitlines()) == 200
+
+    def test_shared_cache_never_replays_another_model(self, tmp_path):
+        ontology = make_ontology(200)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        profile = make_profile(ontology, recall=0.5)
+        shared = tmp_path / "shared.ndjson"
+        run_probe(concepts_path, make_config(seed=1), tmp_path / "one", cache_path=shared, profile=profile)
+        # same model name and provider, different seed: a different model
+        other = run_probe(concepts_path, make_config(seed=2), tmp_path / "two", cache_path=shared, profile=profile)
+        assert other.counts["from_cache"] == 0
+        run_probe(concepts_path, make_config(seed=2), tmp_path / "fresh", profile=profile)
+        scored = (tmp_path / "two" / "scored.ndjson").read_bytes()
+        assert scored == (tmp_path / "fresh" / "scored.ndjson").read_bytes()
+        assert scored != (tmp_path / "one" / "scored.ndjson").read_bytes()
+
+    def test_profile_edited_in_place_never_replays_old_answers(self, tmp_path):
+        ontology = make_ontology(200)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(make_profile(ontology, recall=0.5).to_dict()), encoding="utf-8")
+        config = ModelConfig(Provider.SYNTHETIC, "synthetic-memorizer", profile_path=str(profile_path))
+        shared = tmp_path / "shared.ndjson"
+        run_probe(concepts_path, config, tmp_path / "one", cache_path=shared)
+        profile_path.write_text(json.dumps(make_profile(ontology, recall=0.0).to_dict()), encoding="utf-8")
+        edited = run_probe(concepts_path, config, tmp_path / "two", cache_path=shared)
+        assert edited.counts["from_cache"] == 0
+        run_probe(concepts_path, config, tmp_path / "fresh")
+        scored = (tmp_path / "two" / "scored.ndjson").read_bytes()
+        assert scored == (tmp_path / "fresh" / "scored.ndjson").read_bytes()
+        assert scored != (tmp_path / "one" / "scored.ndjson").read_bytes()
+
+    def test_cache_handle_closed_when_run_ends(self, tmp_path):
+        ontology = make_ontology(30)
+        concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
+        profile = make_profile(ontology, recall=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_probe(concepts_path, make_config(), tmp_path / "probe", profile=profile)
+            run_invariance(
+                concepts_path, make_config(), occurrences_path, tmp_path / "inv",
+                buckets=3, k_sample=2, m_repeats=2, permutations=20, profile=profile,
+            )
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_exhausted_transport_counts_failures(self, tmp_path):
         ontology = make_ontology(6)
