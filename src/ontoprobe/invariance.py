@@ -19,13 +19,13 @@ from enum import Enum
 from .errors import ParseError
 from .extraction import completion_cue, default_rules, extract_id
 from .gateway import ModelGateway
-from .metrics import _ndjson, is_correct
+from .metrics import _ndjson, _ndjson_lines, is_correct
 from .ontology import Concept, Ontology
 from .popularity import BucketAssignment
 from .prompts import Language, PromptStyle, render, template_for
 
 DEFAULT_TEMPERATURES = tuple(round(0.1 * i, 1) for i in range(11))
-DEFAULT_LANGUAGES = (Language.EN, Language.IT, Language.DE, Language.FR, Language.ES)
+DEFAULT_LANGUAGES = tuple(Language)
 
 
 class Strategy(str, Enum):
@@ -92,47 +92,48 @@ def sample_concepts(
     return sampled
 
 
-def _record(concept: Concept, strategy: Strategy, answers: list[str | None]) -> InvarianceRecord:
-    u = unique_answers(answers)
-    return InvarianceRecord(concept, strategy, len(answers), tuple(answers), u, pi_value(len(answers), u))
-
-
 def _run_calls(
     gateway: ModelGateway,
     concepts: list[Concept],
     strategy: Strategy,
-    calls_for,
-    rules: dict,
+    steps: list[tuple[Language, int, float]],
+    style: PromptStyle,
 ) -> list[InvarianceRecord]:
-    # Flatten every (concept, call) pair into one batch so the gateway's
+    """Ask every concept once per (language, repetition tag, temperature)
+    step and count its distinct answers.
+
+    Every (kind, language) template is resolved up front so a missing
+    translation fails before any call.
+    """
+    languages = list(dict.fromkeys(language for language, _tag, _temp in steps))
+    templates = {
+        (kind, language): template_for(kind, style, language)
+        for kind in dict.fromkeys(c.source for c in concepts)
+        for language in languages
+    }
+    # Flatten every (concept, step) pair into one batch so the gateway's
     # bounded parallelism covers the whole strategy, then regroup.
     items = []
-    spans: list[tuple[Concept, int, int]] = []
     for concept in concepts:
-        calls = calls_for(concept)
-        spans.append((concept, len(items), len(items) + len(calls)))
-        items.extend(calls)
+        prompts = {language: render(templates[concept.source, language], concept) for language in languages}
+        items.extend((prompts[language], tag, temperature) for language, tag, temperature in steps)
     responses = gateway.complete_batch(items)
+    rules = default_rules()
     records = []
-    for concept, start, stop in spans:
-        answers: list[str | None] = []
+    for i, concept in enumerate(concepts):
+        span = slice(i * len(steps), (i + 1) * len(steps))
         rule = rules[concept.source]
-        for (prompt, _tag, _temp), response in zip(items[start:stop], responses[start:stop]):
-            if response is None:
-                answers.append(None)
-            else:
-                answers.append(extract_id(rule, completion_cue(prompt.text) + response.raw_text))
-        records.append(_record(concept, strategy, answers))
+        answers = [
+            None if response is None else extract_id(rule, completion_cue(prompt.text) + response.raw_text)
+            for (prompt, _tag, _temp), response in zip(items[span], responses[span])
+        ]
+        u = unique_answers(answers)
+        records.append(InvarianceRecord(concept, strategy, len(answers), tuple(answers), u, pi_value(len(answers), u)))
     return records
 
 
 def run_pi1(
-    gateway: ModelGateway,
-    concepts: list[Concept],
-    m: int = 10,
-    style: PromptStyle = PromptStyle.CHAT,
-    language: Language = Language.EN,
-    rules: dict | None = None,
+    gateway: ModelGateway, concepts: list[Concept], m: int = 10, style: PromptStyle = PromptStyle.CHAT
 ) -> list[InvarianceRecord]:
     """Repeat the identical prompt m times at temperature 0.
 
@@ -141,13 +142,7 @@ def run_pi1(
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    rules = rules or default_rules()
-
-    def calls_for(concept: Concept):
-        prompt = render(template_for(concept.source, style, language), concept)
-        return [(prompt, tag, 0.0) for tag in range(m)]
-
-    return _run_calls(gateway, concepts, Strategy.PI1, calls_for, rules)
+    return _run_calls(gateway, concepts, Strategy.PI1, [(Language.EN, tag, 0.0) for tag in range(m)], style)
 
 
 def run_pi2(
@@ -155,49 +150,22 @@ def run_pi2(
     concepts: list[Concept],
     temperatures=DEFAULT_TEMPERATURES,
     style: PromptStyle = PromptStyle.CHAT,
-    language: Language = Language.EN,
-    rules: dict | None = None,
 ) -> list[InvarianceRecord]:
     """One call per temperature per concept, same prompt text."""
     temperatures = [float(t) for t in temperatures]
     if len(set(temperatures)) < 2:
         raise ValueError("need at least 2 distinct temperatures")
-    rules = rules or default_rules()
-
-    def calls_for(concept: Concept):
-        prompt = render(template_for(concept.source, style, language), concept)
-        return [(prompt, 0, t) for t in temperatures]
-
-    return _run_calls(gateway, concepts, Strategy.PI2, calls_for, rules)
+    return _run_calls(gateway, concepts, Strategy.PI2, [(Language.EN, 0, t) for t in temperatures], style)
 
 
 def run_pi3(
-    gateway: ModelGateway,
-    concepts: list[Concept],
-    languages=DEFAULT_LANGUAGES,
-    style: PromptStyle = PromptStyle.CHAT,
-    rules: dict | None = None,
+    gateway: ModelGateway, concepts: list[Concept], languages=DEFAULT_LANGUAGES, style: PromptStyle = PromptStyle.CHAT
 ) -> list[InvarianceRecord]:
-    """One call per prompt language per concept, temperature 0.
-
-    Labels are never translated. Every (kind, language) template is
-    resolved up front so a missing translation fails before any call.
-    """
+    """One call per prompt language per concept, temperature 0; labels are never translated."""
     languages = [Language(l) for l in languages]
     if len(set(languages)) < 2:
         raise ValueError("need at least 2 distinct languages")
-    rules = rules or default_rules()
-    templates = {}
-    for concept in concepts:
-        for language in languages:
-            key = (concept.source, language)
-            if key not in templates:
-                templates[key] = template_for(concept.source, style, language)
-
-    def calls_for(concept: Concept):
-        return [(render(templates[(concept.source, lang)], concept), 0, 0.0) for lang in languages]
-
-    return _run_calls(gateway, concepts, Strategy.PI3, calls_for, rules)
+    return _run_calls(gateway, concepts, Strategy.PI3, [(language, 0, 0.0) for language in languages], style)
 
 
 def aggregate_avpi(
@@ -247,9 +215,7 @@ def write_invariance_records(records: list[InvarianceRecord]) -> str:
 def read_invariance_records(text: str, ontology: Ontology) -> list[InvarianceRecord]:
     """Parse an invariance run file back against its ontology."""
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in _ndjson_lines(text):
         try:
             row = json.loads(line)
             concept = ontology.id_index.get(row["gold_id"])

@@ -177,6 +177,14 @@ def _ndjson(rows) -> str:
     return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
 
 
+def _ndjson_lines(text: str):
+    """(line number, line) per non-blank line, split at newlines only: `_ndjson`
+    leaves U+2028, U+2029 and U+0085 unescaped, and splitlines() breaks there."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            yield line_no, line
+
+
 def write_scored_records(records: list[ProbeRecord]) -> str:
     """Serialize records as newline-delimited JSON, one object per line."""
     return _ndjson(
@@ -196,9 +204,7 @@ def write_scored_records(records: list[ProbeRecord]) -> str:
 def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     """Parse a scored-run file, resolving each row against the ontology."""
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in _ndjson_lines(text):
         try:
             row = json.loads(line)
             gold_id = row["gold_id"]

@@ -170,6 +170,23 @@ def _load_occurrences(path: str | Path) -> list[OccurrenceRecord]:
     return occurrences
 
 
+def _require_positive(**values: int) -> None:
+    """Reject a count option below 1 before the run does any work."""
+    for name, value in values.items():
+        if value < 1:
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be positive")
+
+
+def _statistic(test, *args, fields: tuple[str, ...], **kwargs) -> dict:
+    """The named fields of `test(*args, **kwargs)`, or {"error": reason}
+    when the series cannot carry the statistic (too short, constant)."""
+    try:
+        result = test(*args, **kwargs)
+    except (ValueError, DegenerateInputError) as exc:
+        return {"error": str(exc)}
+    return {name: getattr(result, name) for name in fields}
+
+
 @contextmanager
 def _open_gateway(config: ModelConfig, out_dir: Path, cache_path, profile, transport):
     """Gateway over the run's response cache (default <out_dir>/cache.ndjson),
@@ -206,7 +223,7 @@ def run_ingest(
     return _finish_run(
         out_dir,
         "ingest",
-        [file_digest(source_path), kind_enum.value, str(max_code_chars)],
+        [file_digest(source_path), kind_enum.value, str(max_code_chars), universe_path and file_digest(universe_path)],
         ontology=_ontology_descriptor(concepts_path, ontology),
         parameters={"source": str(source_path), "kind": kind_enum.value, "max_code_chars": max_code_chars},
         counts={"concepts": len(ontology.concepts), "universe": len(ontology.universe)},
@@ -255,8 +272,7 @@ def run_probe(
     concepts = list(ontology.concepts)
     derived: dict[str, int] = {}
     if sample is not None:
-        if sample < 1:
-            raise ConfigurationError("--sample must be positive")
+        _require_positive(sample=sample)
         if sample < len(concepts):
             derived["probe-sample"] = derive_seed(seed, "probe-sample")
             rng = random.Random(derived["probe-sample"])
@@ -330,6 +346,7 @@ def run_analyze(
         raise ConfigurationError("analyze requires at least one occurrence file")
     if len(occurrence_paths) > 2:
         raise ConfigurationError("analyze takes at most two occurrence files")
+    _require_positive(lag=lag, permutations=permutations, top_k=top_k)
 
     ontology = load_ontology(ontology_path)
     records = read_scored_records(scored_path.read_text(encoding="utf-8"), ontology)
@@ -362,10 +379,10 @@ def run_analyze(
     correlation = spearman(xs, ys, n_permutations=permutations, seed=spearman_seed)
     # Granger needs a longer series than Spearman (3*lag + 2 points); a
     # short bucket series shouldn't take the correlation result with it.
-    try:
-        granger_block = asdict(granger_f(xs, ys, lag=lag))
-    except (ValueError, DegenerateInputError) as exc:
-        granger_block = {"error": str(exc), "lag": lag}
+    granger_block = {
+        **_statistic(granger_f, xs, ys, lag=lag, fields=("f_statistic", "p_value", "n_effective", "df")),
+        "lag": lag,
+    }
 
     # One similarity pass over the wrong records; buckets and the overall
     # figures aggregate the same per-record values in record order.
@@ -449,17 +466,11 @@ def _compare_occurrences(
     xs = [x for x, y in zip(xs_all, ys_all) if x is not None and y is not None]
     ys = [y for x, y in zip(xs_all, ys_all) if x is not None and y is not None]
     correlation = spearman(xs, ys, n_permutations=permutations, seed=seed)
-    out = {
+    return {
         "n_shared": len(shared),
         "spearman": {"rho": correlation.rho, "p_value": correlation.p_value},
-        "granger": None,
+        "granger": _statistic(granger_f, xs, ys, lag=lag, fields=("f_statistic", "p_value", "lag")),
     }
-    try:
-        causality = granger_f(xs, ys, lag=lag)
-        out["granger"] = {"f_statistic": causality.f_statistic, "p_value": causality.p_value, "lag": causality.lag}
-    except (ValueError, DegenerateInputError) as exc:
-        out["granger"] = {"error": str(exc)}
-    return out
 
 
 def run_invariance(
@@ -487,6 +498,7 @@ def run_invariance(
     """
     ontology_path = Path(ontology_path)
     out_dir = Path(out_dir)
+    _require_positive(permutations=permutations)
     if not isinstance(config, ModelConfig):
         config = ModelConfig.from_file(config)
     ontology = load_ontology(ontology_path)
@@ -525,35 +537,21 @@ def run_invariance(
             counts[f"answers_{strategy.value.lower()}"] = sum(r.m for r in records)
 
             rows = inv.aggregate_avpi(records, assignment, ontology)
-            avpi_series = [row.avpi for row in rows]
-            acc_series = [row.accuracy for row in rows]
-            strategy_report = {
-                "per_bucket": [
-                    {
-                        "bucket": row.bucket,
-                        "avpi": row.avpi,
-                        "accuracy": row.accuracy,
-                        "k_sampled": row.k_sampled,
-                    }
-                    for row in rows
-                ],
-            }
-            if len(avpi_series) < 3:
-                strategy_report["avpi_accuracy_spearman"] = {
-                    "error": f"only {len(avpi_series)} occupied buckets; correlation needs at least 3"
-                }
+            if len(rows) < 3:
+                correlation = {"error": f"only {len(rows)} occupied buckets; correlation needs at least 3"}
             else:
-                try:
-                    correlation = spearman(
-                        avpi_series, acc_series, n_permutations=permutations, seed=derive_seed(seed, f"avpi-{strategy.value}")
-                    )
-                    strategy_report["avpi_accuracy_spearman"] = {
-                        "rho": correlation.rho,
-                        "p_value": correlation.p_value,
-                    }
-                except DegenerateInputError as exc:
-                    strategy_report["avpi_accuracy_spearman"] = {"error": str(exc)}
-            report["strategies"][strategy.value] = strategy_report
+                correlation = _statistic(
+                    spearman,
+                    [row.avpi for row in rows],
+                    [row.accuracy for row in rows],
+                    n_permutations=permutations,
+                    seed=derive_seed(seed, f"avpi-{strategy.value}"),
+                    fields=("rho", "p_value"),
+                )
+            report["strategies"][strategy.value] = {
+                "per_bucket": [{k: v for k, v in asdict(row).items() if k != "strategy"} for row in rows],
+                "avpi_accuracy_spearman": correlation,
+            }
 
     report_path = out_dir / "invariance_report.json"
     _write_json(report_path, report)
@@ -570,6 +568,8 @@ def run_invariance(
             str(k_sample),
             str(m_repeats),
             ",".join(s.value for s in chosen),
+            prompt_style.value,
+            str(permutations),
         ],
         ontology=_ontology_descriptor(ontology_path, ontology),
         model_config_digest=config.digest(),
@@ -615,8 +615,7 @@ def run_simulate(
     end to end. Also writes a ready-to-use SYNTHETIC model config.
     """
     out_dir = Path(out_dir)
-    if size < 1:
-        raise ConfigurationError("--size must be positive")
+    _require_positive(size=size)
     if max_exponent <= 0:
         raise ConfigurationError("--max-exponent must be positive")
     style = HallucinationStyle(hallucination_style.upper())

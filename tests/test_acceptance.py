@@ -273,7 +273,8 @@ def test_criterion_6_ontology_parsing_and_round_trip(
 def test_criterion_7_extraction_golden_file():
     golden = Path(__file__).parent / "data" / "extraction_golden.csv"
     rules = default_rules()
-    rows = list(csv.DictReader(golden.open(encoding="utf-8", newline="")))
+    with golden.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 20
     for row in rows:
         kind = OntologyKind(row["kind"])

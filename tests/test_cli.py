@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
 import subprocess
@@ -102,15 +103,25 @@ MINIMAL_ARGS = {
 }
 
 
+def subparser_options(command: str) -> list[argparse.Action]:
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in subparsers.choices[command]._actions if not isinstance(a, argparse._HelpAction)]
+
+
 class TestDispatch:
     @pytest.mark.parametrize("command", sorted(MINIMAL_ARGS))
     def test_namespace_matches_runner_parameters(self, command):
-        namespace = vars(build_parser().parse_args([command, *MINIMAL_ARGS[command]]))
-        assert namespace.pop("command") == command
+        options = subparser_options(command)
         parameters = set(inspect.signature(getattr(cli, f"run_{command}")).parameters)
         # Library-only hooks: a test transport and an in-memory synthetic profile.
         library_only = {"transport", "profile"} if command in ("probe", "invariance") else set()
-        assert set(namespace) == parameters - library_only
+        assert {a.dest for a in options} == parameters - library_only
+        # No option restates a default: one left out stays out of the
+        # namespace and the run_* default applies.
+        assert all(a.default is argparse.SUPPRESS for a in options)
+        namespace = vars(build_parser().parse_args([command, *MINIMAL_ARGS[command]]))
+        assert namespace.pop("command") == command
+        assert set(namespace) == {a.dest for a in options if a.required}
 
 
 class TestUsageErrors:

@@ -109,6 +109,18 @@ class TestIngest:
         assert manifest.counts["concepts"] == 5
         assert manifest.counts["universe"] == 6
 
+    def test_universe_enters_run_id(self, tmp_path, wikidata_csv_text):
+        source = tmp_path / "sample.csv"
+        source.write_text(wikidata_csv_text, encoding="utf-8")
+        ids = []
+        for name, extra in (("none", None), ("small", "Q5\n"), ("large", "Q5\nQ7\n")):
+            universe = None
+            if extra is not None:
+                universe = tmp_path / f"{name}.txt"
+                universe.write_text("Q1\nQ2\nQ42\nQ155\nQ308\n" + extra, encoding="utf-8")
+            ids.append(run_ingest(source, "wikidata", tmp_path / name, universe_path=universe).run_id)
+        assert len(set(ids)) == 3
+
     def test_manifest_file_round_trips(self, tmp_path, go_obo_text):
         source = tmp_path / "go.obo"
         source.write_text(go_obo_text, encoding="utf-8")
@@ -394,6 +406,17 @@ class TestAnalyze:
         }
         assert "rho" in analysis["spearman"]
 
+    @pytest.mark.parametrize("option", ["lag", "permutations", "top_k"])
+    def test_count_option_below_one_rejected_before_any_work(self, tmp_path, option):
+        ontology = make_ontology(30)
+        concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
+        run_probe(concepts_path, make_config(), tmp_path / "probe", profile=monotone_profile(ontology))
+        with pytest.raises(ConfigurationError, match=f"--{option.replace('_', '-')} must be positive"):
+            run_analyze(
+                tmp_path / "probe" / "scored.ndjson", concepts_path, [occurrences_path], tmp_path / "analysis", **{option: 0}
+            )
+        assert not (tmp_path / "analysis").exists()
+
     def test_missing_occurrence_rows_fatal_by_default(self, tmp_path):
         ontology = make_ontology(30)
         concepts_path, _ = write_corpus(tmp_path, ontology)
@@ -612,6 +635,37 @@ class TestInvarianceRun:
                 strategies=("PI9",),
                 profile=profile,
             )
+
+    def test_zero_permutations_rejected_before_any_call(self, tmp_path):
+        _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=6)
+        with pytest.raises(ConfigurationError, match="--permutations must be positive"):
+            run_invariance(concepts_path, make_config(), occurrences_path, tmp_path / "inv", permutations=0, profile=profile)
+        assert not (tmp_path / "inv").exists()
+
+    def test_style_and_permutations_enter_run_id(self, tmp_path):
+        _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=12)
+        ids = [
+            run_invariance(
+                concepts_path,
+                make_config(),
+                occurrences_path,
+                tmp_path / f"inv{i}",
+                strategies=("PI1",),
+                buckets=3,
+                k_sample=2,
+                m_repeats=2,
+                profile=profile,
+                **kwargs,
+            ).run_id
+            for i, kwargs in enumerate(
+                [
+                    {"style": "CHAT", "permutations": 100},
+                    {"style": "COMPLETION", "permutations": 100},
+                    {"style": "CHAT", "permutations": 200},
+                ]
+            )
+        ]
+        assert len(set(ids)) == 3
 
     def test_deterministic_outputs(self, tmp_path):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=24)
