@@ -18,6 +18,7 @@ repetition tag enters the hash and answers vary between repeats.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -30,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConfigurationError, ParseError, TransportExhausted
 from .ontology import OntologyKind
@@ -100,12 +102,7 @@ class ModelConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read model config {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigurationError(f"model config {path} is not valid JSON: {exc}") from exc
+        data = _read_json(path, "model config")
         if not isinstance(data, dict):
             raise ConfigurationError(f"model config {path} must be a JSON object")
         config = cls.from_dict(data)
@@ -122,6 +119,17 @@ class ModelConfig:
 
     def digest(self) -> str:
         return _digest(self.to_dict())
+
+
+def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError):
+    """The JSON value in `path`. An unreadable file raises ConfigurationError,
+    invalid JSON `invalid`; both messages name `what` and `path` as given."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise invalid(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _digest(data: dict) -> str:
@@ -200,13 +208,7 @@ class SyntheticProfile:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticProfile":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read synthetic profile {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigurationError(f"synthetic profile {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path, "synthetic profile"))
 
     def to_dict(self) -> dict:
         rows = [
@@ -353,18 +355,133 @@ def synthetic_respond(profile: SyntheticProfile, prompt: RenderedPrompt, tempera
     return _invent_id(kind, profile.effective_universe(), rng)
 
 
-def _requests_transport(url: str, payload: dict, headers: dict) -> tuple[int, dict | None]:
-    import requests
+TIMEOUT_S = 120  # per connect, send or receive on an HTTP socket
 
+
+class _Connections:
+    """The kept-alive HTTP connections of one gateway, for its whole run.
+
+    An attempt takes an idle connection to its origin, or opens one, and
+    gives it back once the response is read, so there is at most one idle
+    connection per request that was in flight at once. A connection the
+    server closed while it sat idle is replaced before use. close() closes
+    the idle connections and keeps none given back later.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, str], list[tuple]] = {}
+        self._closed = False
+        self._tls = None
+
+    def take(self, target: SplitResult) -> tuple:
+        """(connection, request-target prefix, extra headers) for `target`."""
+        import select
+
+        with self._lock:
+            idle = self._idle.get((target.scheme, target.netloc), [])
+            while idle:
+                route = idle.pop()
+                # Readable while idle means end-of-file or bytes nobody asked
+                # for: either way the connection cannot carry a request.
+                if route[0].sock is not None and not select.select([route[0].sock], [], [], 0)[0]:
+                    return route
+                route[0].close()
+            if target.scheme == "https" and self._tls is None:
+                import ssl
+
+                self._tls = ssl.create_default_context()
+        return _connect(target, self._tls)
+
+    def give(self, target: SplitResult, route: tuple) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault((target.scheme, target.netloc), []).append(route)
+                return
+        route[0].close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for routes in idle.values():
+            for route in routes:
+                route[0].close()
+
+
+def _connect(target: SplitResult, tls) -> tuple:
+    """A new connection to `target`, through the proxy the environment names
+    for its scheme unless NO_PROXY exempts it: plain HTTP sends the absolute
+    URL to the proxy, HTTPS tunnels through it with CONNECT."""
+    import http.client
+    import urllib.request
+
+    secure = target.scheme == "https"
+    port = target.port or (443 if secure else 80)
+    proxy = urllib.request.getproxies().get(target.scheme)
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else None
+    if via is not None and urllib.request.proxy_bypass(target.netloc):
+        via = None
+    host, host_port = (target.hostname, port) if via is None else (via.hostname, via.port or 80)
+    if secure:
+        conn = http.client.HTTPSConnection(host, host_port, timeout=TIMEOUT_S, context=tls)
+    else:
+        conn = http.client.HTTPConnection(host, host_port, timeout=TIMEOUT_S)
+    if via is None:
+        return conn, "", {}
+    auth = {}
+    if via.username is not None:
+        import base64
+
+        user = f"{unquote(via.username)}:{unquote(via.password or '')}".encode("utf-8")
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user).decode("ascii")
+    if not secure:
+        return conn, f"http://{target.netloc}", auth
+    conn.set_tunnel(target.hostname, port, headers=auth)
+    return conn, "", {}
+
+
+def _requests_transport(connections: _Connections, url: str, payload: dict, headers: dict) -> tuple[int, dict | None, str | None]:
+    """POST `payload` as JSON over a kept-alive connection from `connections`.
+
+    Returns the status, the JSON body (None if it is not JSON) and the
+    Retry-After header (None if absent). Any socket or protocol error
+    discards the connection and raises TransportFailure. A `transport`
+    passed to ModelGateway replaces this function with the same arguments
+    minus `connections`; it may return just (status, body).
+    """
+    import http.client
+
+    target = urlsplit(url)
+    path = (target.path or "/") + (f"?{target.query}" if target.query else "")
+    conn, prefix, extra = route = connections.take(target)
     try:
-        response = requests.post(url, json=payload, headers=headers, timeout=120)
-    except requests.RequestException as exc:
-        raise TransportFailure(str(exc)) from exc
+        conn.request("POST", prefix + path, json.dumps(payload).encode("utf-8"), {**headers, **extra})
+        response = conn.getresponse()
+        data = response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        conn.close()
+        raise TransportFailure(str(exc) or type(exc).__name__) from exc
+    except BaseException:
+        conn.close()
+        raise
+    if response.will_close:
+        conn.close()
+    else:
+        connections.give(target, route)
     try:
-        body = response.json()
+        body = json.loads(data)
     except ValueError:
         body = None
-    return response.status_code, body
+    return response.status, body, response.getheader("Retry-After")
+
+
+def _delta_seconds(retry_after: str | None) -> float | None:
+    """A Retry-After value in delta-seconds; None when absent or an HTTP-date."""
+    if retry_after is None:
+        return None
+    retry_after = retry_after.strip()
+    return float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
 
 
 class ModelGateway:
@@ -372,10 +489,11 @@ class ModelGateway:
 
     Responses are served from the cache when the same request was made
     before by the same model (same identity), with the same repetition
-    tag. HTTP errors are retried with exponential backoff within the
-    attempt budget; after that a request surfaces as TransportExhausted,
-    which batch completion records as a missing response rather than
-    aborting the run.
+    tag. HTTP errors are retried within the attempt budget, after the
+    delta-seconds of a Retry-After header or else an exponential backoff;
+    after that a request surfaces as TransportExhausted, which batch
+    completion records as a missing response rather than aborting the run.
+    HTTP connections are kept alive until close().
     """
 
     def __init__(
@@ -389,7 +507,10 @@ class ModelGateway:
     ):
         self.config = config
         self.cache = cache
-        self._transport = transport or _requests_transport
+        self._connections = _Connections()
+        # Looked up per gateway, so a rebound module attribute (as in
+        # perfbench/tracing.py) applies to gateways built after it.
+        self._transport = transport or functools.partial(_requests_transport, self._connections)
         self._time_fn = time_fn
         self._sleep_fn = sleep_fn
         self._rate_lock = threading.Lock()
@@ -408,6 +529,10 @@ class ModelGateway:
         # model name, temperature, prompt and tag. Pacing and retry fields
         # are left out, so tuning them keeps the cache.
         self.identity = _digest(answer_inputs)
+
+    def close(self) -> None:
+        """Close the kept-alive HTTP connections; later requests keep none open."""
+        self._connections.close()
 
     def complete(self, prompt: RenderedPrompt, repetition_tag: int = 0, temperature: float | None = None) -> ModelResponse:
         key, temp, hit = self._lookup(prompt, repetition_tag, temperature)
@@ -503,12 +628,16 @@ class ModelGateway:
             }
 
         last_failure = "no attempt made"
+        retry_after = None
         for attempt in range(self.config.max_attempts):
             if attempt > 0:
-                self._sleep_fn(self.config.backoff_base * 2 ** (attempt - 1))
+                wait = self.config.backoff_base * 2 ** (attempt - 1) if retry_after is None else retry_after
+                if wait > 0:
+                    self._sleep_fn(wait)
             self._throttle()
+            retry_after = None
             try:
-                status, body = self._transport(url, payload, headers)
+                status, body, *retry_header = self._transport(url, payload, headers)
             except TransportFailure as exc:
                 last_failure = str(exc)
                 continue
@@ -516,6 +645,7 @@ class ModelGateway:
                 raise ConfigurationError(f"authentication failed ({status}); check {API_KEY_ENV}")
             if status == 429 or 500 <= status < 600:
                 last_failure = f"HTTP {status}"
+                retry_after = _delta_seconds(retry_header[0] if retry_header else None)
                 continue
             if status != 200:
                 raise ConfigurationError(f"endpoint returned HTTP {status}")

@@ -19,7 +19,7 @@ import os
 import random
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .gateway import (
     Provider,
     ResponseCache,
     SyntheticProfile,
+    _read_json,
 )
 from .metrics import (
     ProbeRecord,
@@ -189,11 +190,12 @@ def _statistic(test, *args, fields: tuple[str, ...], **kwargs) -> dict:
 
 @contextmanager
 def _open_gateway(config: ModelConfig, out_dir: Path, cache_path, profile, transport):
-    """Gateway over the run's response cache (default <out_dir>/cache.ndjson),
-    whose append handle is closed when the block ends."""
+    """Gateway over the run's response cache (default <out_dir>/cache.ndjson);
+    its connections and the cache's append handle are closed when the block ends."""
     cache = ResponseCache(cache_path if cache_path is not None else out_dir / "cache.ndjson")
     try:
-        yield ModelGateway(config, profile=profile, cache=cache, transport=transport)
+        with closing(ModelGateway(config, profile=profile, cache=cache, transport=transport)) as gateway:
+            yield gateway
     finally:
         cache.close()
 
@@ -506,6 +508,8 @@ def run_invariance(
     chosen = [inv.Strategy(s.upper()) for s in strategies]
     if not chosen:
         raise ConfigurationError("no invariance strategies selected")
+    if inv.Strategy.PI1 in chosen and m_repeats < 2:
+        raise ConfigurationError("--repeats must be at least 2")
     prompt_style = _style_for(config, style)
 
     assignment = bucketize(occurrences, buckets)
@@ -694,15 +698,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _read_json(path: str | Path, what: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def run_report(
     analysis_path: str | Path,
     out_dir: str | Path,
@@ -715,11 +710,11 @@ def run_report(
     """
     analysis_path = Path(analysis_path)
     out_dir = Path(out_dir)
-    analysis = _read_json(analysis_path, "analysis file")
+    analysis = _read_json(analysis_path, "analysis file", ParseError)
 
     avpi: dict[str, dict[int, float]] = {"PI1": {}, "PI2": {}, "PI3": {}}
     if invariance_path is not None:
-        invariance_report = _read_json(invariance_path, "invariance report")
+        invariance_report = _read_json(invariance_path, "invariance report", ParseError)
         for name, strategy_report in invariance_report.get("strategies", {}).items():
             for row in strategy_report.get("per_bucket", []):
                 avpi.setdefault(name, {})[int(row["bucket"])] = float(row["avpi"])

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,18 +249,40 @@ class TestInstalledEntrypoint:
         assert "ingest" in result.stdout and "simulate" in result.stdout
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 class TestImportPath:
     def test_cli_import_leaves_scipy_out(self):
         # Every stage starts by importing the CLI; only analyze's F-test
-        # loads scipy.special, lazily.
+        # loads scipy.special, and only a gateway's first HTTP attempt loads
+        # http.client and ssl, lazily. requests and urllib3 are never used.
+        heavy = "{'scipy', 'requests', 'urllib3', 'http.client', 'ssl'}"
         result = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "import sys, ontoprobe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                "import sys, ontoprobe.cli; "
+                f"print(sorted(m for m in sys.modules if m in {heavy} or m.split('.')[0] in {heavy}))",
             ],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_src_imports_only_stdlib_and_declared_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in project["dependencies"]}
+        allowed = set(sys.stdlib_module_names) | declared | {"ontoprobe"}
+        imported = set()
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((path.name, node.module.split(".")[0]))
+        assert sorted((name, module) for name, module in imported if module not in allowed) == []
+        # And every declared dependency is used.
+        assert declared <= {module for _, module in imported}

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +20,15 @@ from ontoprobe import (
     ModelConfig,
     ModelGateway,
     OntologyKind,
+    ParseError,
     Provider,
     PromptStyle,
     ResponseCache,
+    SyntheticProfile,
     TransportExhausted,
     cache_key,
     render,
+    run_report,
     synthetic_respond,
     template_for,
 )
@@ -670,6 +674,36 @@ class TestThrottle:
         for concept in ontology.concepts:
             gateway.complete(chat_prompt(concept))
         assert sleeps == []
+
+
+def _report_reader(path):
+    return run_report(path, Path(path).parent / "report")
+
+
+@pytest.mark.parametrize(
+    ("read", "what", "invalid"),
+    [
+        (ModelConfig.from_file, "model config", ConfigurationError),
+        (SyntheticProfile.from_file, "synthetic profile", ConfigurationError),
+        (_report_reader, "analysis file", ParseError),
+    ],
+)
+def test_json_file_readers_share_messages(tmp_path, read, what, invalid):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ValueError) as syntax:
+        json.loads("{not json")
+    with pytest.raises(invalid) as raised:
+        read(bad)
+    assert type(raised.value) is invalid
+    assert str(raised.value) == f"{what} {bad} is not valid JSON: {syntax.value}"
+
+    absent = tmp_path / "absent.json"
+    with pytest.raises(OSError) as missing:
+        absent.read_text(encoding="utf-8")
+    with pytest.raises(ConfigurationError) as raised:
+        read(absent)
+    assert str(raised.value) == f"cannot read {what} {absent}: {missing.value}"
 
 
 class TestSyntheticProfileIO:

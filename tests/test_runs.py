@@ -642,6 +642,23 @@ class TestInvarianceRun:
             run_invariance(concepts_path, make_config(), occurrences_path, tmp_path / "inv", permutations=0, profile=profile)
         assert not (tmp_path / "inv").exists()
 
+    def test_single_repeat_rejected_before_any_call(self, tmp_path):
+        _, concepts_path, occurrences_path, _ = self._setup(tmp_path, n=6)
+        calls = []
+
+        def transport(url, payload, headers):
+            calls.append(payload)
+            return 200, {"choices": [{"message": {"content": "GO:0000001"}}]}
+
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+        with pytest.raises(ConfigurationError, match="--repeats must be at least 2"):
+            run_invariance(
+                concepts_path, config, occurrences_path, tmp_path / "inv",
+                strategies=("PI2", "PI1"), buckets=3, k_sample=2, m_repeats=1, transport=transport,
+            )
+        assert calls == []
+        assert not (tmp_path / "inv").exists()
+
     def test_style_and_permutations_enter_run_id(self, tmp_path):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=12)
         ids = [
