@@ -71,10 +71,11 @@ def normalize_id(kind: OntologyKind, raw_match: str) -> str | None:
         m = re.fullmatch(r"Q?\s*0*([0-9]+)", raw, flags=re.IGNORECASE)
         if m is None:
             return None
-        number = int(m.group(1))
-        if number == 0:
+        # On the string, not int(): int() refuses more than 4300 digits.
+        digits = m.group(1).lstrip("0")
+        if not digits:
             return None
-        return f"Q{number}"
+        return f"Q{digits}"
     raise ValueError(f"unknown ontology kind {kind!r}")
 
 

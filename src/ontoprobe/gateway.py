@@ -30,6 +30,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
@@ -227,11 +228,28 @@ class SyntheticProfile:
 
 def cache_key(provider: Provider, model_name: str, temperature: float, prompt_text: str, repetition_tag: int, identity: str) -> str:
     """`identity` is the answering gateway's `ModelGateway.identity`."""
-    material = json.dumps(
-        [provider.value, model_name, repr(float(temperature)), prompt_text, int(repetition_tag), identity],
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return _key_function(provider, model_name, identity)(temperature, prompt_text, repetition_tag)
+
+
+def _key_function(provider: Provider, model_name: str, identity: str):
+    """`cache_key` with one model's provider, name and identity bound.
+
+    The key is the sha256 of the UTF-8 JSON list [provider, model name,
+    repr(temperature), prompt text, repetition tag, identity], as
+    `json.dumps(..., ensure_ascii=False)` writes it. Its head and tail are
+    encoded once here; each request encodes only its own three fields.
+    """
+    head = json.dumps([provider.value, model_name], ensure_ascii=False)[:-1] + ", "
+    tail = ", " + json.dumps(identity, ensure_ascii=False) + "]"
+
+    def key(temperature: float, prompt_text: str, repetition_tag: int) -> str:
+        material = (
+            f"{head}{encode_basestring(repr(float(temperature)))}, "
+            f"{encode_basestring(prompt_text)}, {int(repetition_tag)}{tail}"
+        )
+        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+    return key
 
 
 class ResponseCache:
@@ -529,6 +547,7 @@ class ModelGateway:
         # model name, temperature, prompt and tag. Pacing and retry fields
         # are left out, so tuning them keeps the cache.
         self.identity = _digest(answer_inputs)
+        self._cache_key = _key_function(config.provider, config.model_name, self.identity)
 
     def close(self) -> None:
         """Close the kept-alive HTTP connections; later requests keep none open."""
@@ -578,7 +597,7 @@ class ModelGateway:
         temp = config.temperature if temperature is None else float(temperature)
         if not (0.0 <= temp <= 1.0):
             raise ConfigurationError(f"temperature must be within [0,1], got {temp}")
-        key = cache_key(config.provider, config.model_name, temp, prompt.text, repetition_tag, self.identity)
+        key = self._cache_key(temp, prompt.text, repetition_tag)
         hit = self.cache.get(key) if self.cache is not None else None
         return key, temp, None if hit is None else ModelResponse(key, hit, 0.0, True)
 

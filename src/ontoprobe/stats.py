@@ -10,10 +10,14 @@ ascending popularity bucket. Both are pure functions of their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateInputError
+
+# numpy is imported inside the functions that use it, so a stage that
+# computes no statistic never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Permutations are processed in blocks so a large n_permutations request
 # does not materialize one giant matrix.
@@ -38,6 +42,8 @@ class GrangerResult:
 
 
 def _as_series(name: str, values) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -48,6 +54,8 @@ def _as_series(name: str, values) -> np.ndarray:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing their mean rank (rankdata's "average")."""
+    import numpy as np
+
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     new_run = np.r_[True, ordered[1:] != ordered[:-1]]
@@ -66,6 +74,8 @@ def spearman(x, y, n_permutations: int = 10000, seed: int = 0) -> CorrelationRes
     (1 + #{|rho_perm| >= |rho_obs|}) / (1 + n_permutations)
     over seeded permutations of y, so it can never be exactly zero.
     """
+    import numpy as np
+
     xs = _as_series("x", x)
     ys = _as_series("y", y)
     if len(xs) != len(ys):
@@ -102,12 +112,16 @@ def spearman(x, y, n_permutations: int = 10000, seed: int = 0) -> CorrelationRes
 
 
 def _lag_design(series: np.ndarray, lag: int) -> np.ndarray:
+    import numpy as np
+
     # column i holds the series lagged by i+1 steps, rows t = lag..n-1
     n = len(series)
     return np.column_stack([series[lag - i:n - i] for i in range(1, lag + 1)])
 
 
 def _ols_rss(design: np.ndarray, target: np.ndarray, column_names: list[str]) -> float:
+    import numpy as np
+
     if np.linalg.matrix_rank(design) < design.shape[1]:
         rank = 0
         collinear = []
@@ -129,6 +143,8 @@ def granger_f(x, y, lag: int = 3) -> GrangerResult:
     x_{t-1..t-lag}. F = ((RSS_r - RSS_u)/lag) / (RSS_u/(n_eff - 2*lag - 1))
     with n_eff = n - lag usable rows.
     """
+    import numpy as np
+
     if lag < 1:
         raise ValueError("lag must be at least 1")
     xs = _as_series("x", x)

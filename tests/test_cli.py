@@ -254,10 +254,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 class TestImportPath:
     def test_cli_import_leaves_scipy_out(self):
-        # Every stage starts by importing the CLI; only analyze's F-test
-        # loads scipy.special, and only a gateway's first HTTP attempt loads
-        # http.client and ssl, lazily. requests and urllib3 are never used.
-        heavy = "{'scipy', 'requests', 'urllib3', 'http.client', 'ssl'}"
+        # Every stage starts by importing the CLI; only the statistics load
+        # numpy and only analyze's F-test loads scipy.special, and only a
+        # gateway's first HTTP attempt loads http.client and ssl, lazily.
+        # requests and urllib3 are never used.
+        heavy = "{'numpy', 'scipy', 'requests', 'urllib3', 'http.client', 'ssl'}"
         result = subprocess.run(
             [
                 sys.executable,
@@ -270,6 +271,46 @@ class TestImportPath:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_stages_without_a_statistic_leave_numpy_out(self, tmp_path, go_obo_text):
+        # report flattens an analysis.json; analyze, which loads numpy, makes
+        # it here in the test process.
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--size", "120", "--seed", "5", "--out", str(sim)) == 0
+        table, config = str(sim / "concepts.csv"), str(sim / "model_config.json")
+        assert run_cli("probe", "--ontology", table, "--model-config", config, "--out", str(tmp_path / "p0")) == 0
+        analysis = tmp_path / "analysis"
+        analyze = ["--scored", str(tmp_path / "p0" / "scored.ndjson"), "--ontology", table]
+        analyze += ["--occurrences", str(sim / "occurrences.csv"), "--buckets", "4", "--permutations", "50"]
+        assert run_cli("analyze", *analyze, "--out", str(analysis)) == 0
+        (tmp_path / "go.obo").write_text(go_obo_text, encoding="utf-8")
+
+        sim2 = tmp_path / "sim2"
+        probe = ["--ontology", str(sim2 / "concepts.csv"), "--model-config", str(sim2 / "model_config.json")]
+        probe += ["--cache", str(tmp_path / "cache.ndjson")]
+        stages = [
+            ["simulate", "--size", "120", "--seed", "6", "--out", str(sim2)],
+            ["ingest", "--source", str(tmp_path / "go.obo"), "--kind", "go", "--out", str(tmp_path / "ingest")],
+            ["probe", *probe, "--out", str(tmp_path / "fresh")],
+            ["probe", *probe, "--out", str(tmp_path / "resumed")],
+            ["report", "--analysis", str(analysis / "analysis.json"), "--out", str(tmp_path / "report")],
+        ]
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, sys; from ontoprobe.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([codes, 'numpy' in sys.modules]))",
+                json.dumps(stages),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[0] * 5, False]
+        resumed = json.loads((tmp_path / "resumed" / "manifest.json").read_text(encoding="utf-8"))
+        assert resumed["counts"]["from_cache"] == 120
 
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

@@ -89,6 +89,14 @@ class TestExtractId:
         for kind, concept_id in canonical.items():
             assert extract_id(rules[kind], concept_id) == concept_id
 
+    def test_qid_longer_than_int_conversion_limit(self):
+        # int() refuses strings of more than 4300 digits by default.
+        rule = default_rules()[OntologyKind.WIKIDATA]
+        qid = "Q" + "7" * 5000
+        assert extract_id(rule, f"It is {qid}.") == qid
+        assert extract_id(rule, "Q000" + "7" * 5000) == qid
+        assert extract_id(rule, "Q" + "0" * 5000) is None
+
     def test_golden_file(self, golden_cases):
         rules = default_rules()
         for kind, raw_text, expected in golden_cases:

@@ -94,6 +94,28 @@ class TestCacheKey:
         base = (Provider.SYNTHETIC, "m", 0.0, "p", 0)
         assert cache_key(*base, "a") != cache_key(*base, "b")
 
+    @pytest.mark.parametrize(
+        "request_fields, expected",
+        [
+            (
+                (Provider.SYNTHETIC, "memorizer", 0.0, "What is the Gene Ontology ID of 'mitochondrion'? Answer: GO:", 0, "6f1d" + "0" * 60),
+                "5dc0b1ede2dddaa63228af7388f3a5fefc2e760a57cb5a1ff607c2d0748652c8",
+            ),
+            (
+                (Provider.CHAT_HTTP, "gpt-3.5-turbo", 0.7, '¿Cuál es el identificador de «corazón»?\u2028"quoted" \\ back', 3, "a" * 64),
+                "65762683e21eb2613251ee5a62992e49f14ef43fe791bf34ecc4eed8869ffa70",
+            ),
+            (
+                (Provider.COMPLETION_HTTP, "m\u00e9\U0001f600", 1.0, "\x00\x1f\n\x85\U0001f9ec end", 12, "identity"),
+                "fb5ddc2ca9de165494a1cba0a22e7841261dd6525d4275f8017c9810bbaaf6b0",
+            ),
+        ],
+    )
+    def test_keys_of_existing_caches_unchanged(self, request_fields, expected):
+        # Pinned from the json.dumps definition the response caches on disk
+        # were written with: a changed key would make every one of them miss.
+        assert cache_key(*request_fields) == expected
+
 
 def _gateway_key(config: dict, profile=None) -> str:
     """The cache key a gateway built from `config` gives one fixed request."""

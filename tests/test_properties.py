@@ -1,10 +1,12 @@
 """Properties that hold for every input: ID extraction and canonicalisation,
-NDJSON round trips, edit distance, bucketing, and the numpy/scipy.special
-statistics against their scipy.stats references."""
+NDJSON round trips, edit distance, bucketing, response-cache keys, and the
+numpy/scipy.special statistics against their scipy.stats references."""
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -15,11 +17,18 @@ from ontoprobe import (
     Concept,
     DegenerateInputError,
     InvarianceRecord,
+    Language,
+    ModelConfig,
+    ModelGateway,
     OccurrenceRecord,
     Ontology,
     OntologyKind,
+    PromptStyle,
+    Provider,
+    RenderedPrompt,
     Strategy,
     bucketize,
+    cache_key,
     canonical_icd10,
     default_rules,
     extract_id,
@@ -206,3 +215,55 @@ def test_spearman_p_value_in_unit_interval(data, n_permutations, seed):
     except DegenerateInputError:
         assume(False)
     assert 0.0 < result.p_value <= 1.0
+
+
+def reference_cache_key(provider, model_name, temperature, prompt_text, repetition_tag, identity) -> str:
+    """The cache key as first defined: one json.dumps of the whole request."""
+    material = json.dumps(
+        [provider.value, model_name, repr(float(temperature)), prompt_text, int(repetition_tag), identity],
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+# Characters JSON escapes, or that str.splitlines() breaks at, plus astral ones.
+AWKWARD_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029\x85\U0001f9ec\U0010ffff'))
+)
+TEMPERATURES = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, 0.1, 0.7, 1.0, 5e-324]))
+TAGS = st.integers(min_value=0, max_value=2**63)
+TEMPLATE_KEY = (OntologyKind.WIKIDATA, PromptStyle.CHAT, Language.EN)
+
+
+@BOUNDED
+@given(
+    provider=st.sampled_from(list(Provider)),
+    model_name=AWKWARD_TEXT,
+    temperature=TEMPERATURES,
+    prompt_text=AWKWARD_TEXT,
+    tag=TAGS,
+    identity=AWKWARD_TEXT,
+)
+def test_cache_key_equals_reference(provider, model_name, temperature, prompt_text, tag, identity):
+    expected = reference_cache_key(provider, model_name, temperature, prompt_text, tag, identity)
+    assert cache_key(provider, model_name, temperature, prompt_text, tag, identity) == expected
+
+
+@BOUNDED
+@given(
+    provider=st.sampled_from([Provider.CHAT_HTTP, Provider.COMPLETION_HTTP]),
+    model_name=AWKWARD_TEXT,
+    endpoint=AWKWARD_TEXT.map(lambda s: "https://" + s),
+    requests=st.lists(st.tuples(TEMPERATURES, AWKWARD_TEXT, TAGS), min_size=1, max_size=4),
+)
+def test_gateway_request_keys_equal_reference(provider, model_name, endpoint, requests):
+    def transport(url, payload, headers):
+        return 200, {"choices": [{"message": {"content": "a"}, "text": "a"}]}
+
+    gateway = ModelGateway(ModelConfig(provider, model_name, endpoint=endpoint, max_in_flight=1), transport=transport)
+    items = [(RenderedPrompt(TEMPLATE_KEY, "Q1", text), tag, temperature) for temperature, text, tag in requests]
+    responses = gateway.complete_batch(items)
+    assert [r.request_id for r in responses] == [
+        reference_cache_key(provider, model_name, temperature, text, tag, gateway.identity)
+        for temperature, text, tag in requests
+    ]

@@ -313,6 +313,25 @@ class TestProbe:
         )
         assert all(r.predicted is None and r.raw_text == "" for r in records)
 
+    def test_wikidata_answer_beyond_int_conversion_limit(self, tmp_path, wikidata_ontology):
+        concepts_path, _ = write_corpus(tmp_path, wikidata_ontology)
+        qid = "Q" + "7" * 5000
+
+        def transport(url, payload, headers):
+            return 200, {"choices": [{"message": {"content": f"That is {qid}."}}]}
+
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+        cache = tmp_path / "cache.ndjson"
+        fresh = run_probe(concepts_path, config, tmp_path / "fresh", cache_path=cache, transport=transport)
+        resumed = run_probe(concepts_path, config, tmp_path / "resumed", cache_path=cache, transport=transport)
+        n = len(wikidata_ontology.concepts)
+        assert fresh.counts["failed"] == resumed.counts["failed"] == 0
+        assert resumed.counts["from_cache"] == n
+        text = (tmp_path / "resumed" / "scored.ndjson").read_text(encoding="utf-8")
+        records = read_scored_records(text, wikidata_ontology)
+        assert [r.predicted for r in records] == [qid] * n
+        assert not any(r.correct for r in records)
+
     def test_completion_style_defaults_and_extracts_bare_digits(self, tmp_path):
         ontology = make_ontology(5)
         concepts_path, _ = write_corpus(tmp_path, ontology)
