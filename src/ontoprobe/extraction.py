@@ -49,6 +49,14 @@ def default_rules() -> dict[OntologyKind, ExtractionRule]:
     }
 
 
+# Prefix-optional digit forms normalize_id accepts, compiled once.
+_PREFIXED_DIGITS = {
+    kind: re.compile(rf"(?:{kind.value})?[\s:_]*([0-9]+)", re.IGNORECASE)
+    for kind in (OntologyKind.GO, OntologyKind.UBERON)
+}
+_QID_DIGITS = re.compile(r"Q?\s*0*([0-9]+)", re.IGNORECASE)
+
+
 def normalize_id(kind: OntologyKind, raw_match: str) -> str | None:
     """Canonicalize a matched ID fragment; None when it has no canonical form.
 
@@ -56,19 +64,19 @@ def normalize_id(kind: OntologyKind, raw_match: str) -> str | None:
     captures the default patterns produce ("1822", "42").
     """
     raw = raw_match.strip()
-    if kind in (OntologyKind.GO, OntologyKind.UBERON):
-        prefix = kind.value
-        m = re.fullmatch(rf"(?:{prefix})?[\s:_]*([0-9]+)", raw, flags=re.IGNORECASE)
+    prefixed = _PREFIXED_DIGITS.get(kind)
+    if prefixed is not None:
+        m = prefixed.fullmatch(raw)
         if m is None:
             return None
         digits = m.group(1)
         if len(digits) > 7:
             return None
-        return f"{prefix}:{digits.zfill(7)}"
+        return f"{kind.value}:{digits.zfill(7)}"
     if kind is OntologyKind.ICD10:
         return canonical_icd10(raw)
     if kind is OntologyKind.WIKIDATA:
-        m = re.fullmatch(r"Q?\s*0*([0-9]+)", raw, flags=re.IGNORECASE)
+        m = _QID_DIGITS.fullmatch(raw)
         if m is None:
             return None
         # On the string, not int(): int() refuses more than 4300 digits.

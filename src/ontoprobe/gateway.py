@@ -296,18 +296,11 @@ class ResponseCache:
         with self._lock:
             return self._entries.get(key_hash)
 
-    def put(self, key_hash: str, config_digest: str, prompt_text: str, raw_text: str) -> None:
+    def put(self, key_hash: str, prompt_text: str, raw_text: str) -> None:
         with self._lock:
             if key_hash in self._entries:
                 return
             self._entries[key_hash] = raw_text
-            record = {
-                "key_hash": key_hash,
-                "config_digest": config_digest,
-                "prompt": prompt_text,
-                "raw_text": raw_text,
-                "timestamp": time.time(),
-            }
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 # Cut only if nobody appended since load; otherwise the
@@ -316,7 +309,11 @@ class ResponseCache:
                     os.truncate(self.path, self._torn_at)
                 self._torn_at = None
                 self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            # What json.dumps(..., ensure_ascii=False) writes for the row.
+            self._handle.write(
+                f'{{"key_hash": {encode_basestring(key_hash)}, "prompt": {encode_basestring(prompt_text)}, '
+                f'"raw_text": {encode_basestring(raw_text)}, "timestamp": {time.time()!r}}}\n'
+            )
             self._handle.flush()
 
     def close(self) -> None:
@@ -533,7 +530,6 @@ class ModelGateway:
         self._sleep_fn = sleep_fn
         self._rate_lock = threading.Lock()
         self._stamps: deque[float] = deque()
-        self._config_digest = config.digest()
         if config.provider is Provider.SYNTHETIC:
             if profile is None:
                 if config.profile_path is None:
@@ -610,7 +606,7 @@ class ModelGateway:
             raw_text = self._dispatch_http(prompt, temperature)
         latency = self._time_fn() - started
         if self.cache is not None:
-            self.cache.put(key, self._config_digest, prompt.text, raw_text)
+            self.cache.put(key, prompt.text, raw_text)
         return ModelResponse(key, raw_text, latency, False)
 
     def _dispatch_synthetic(self, prompt: RenderedPrompt, temperature: float, repetition_tag: int) -> str:

@@ -103,7 +103,9 @@ def _run_calls(
     step and count its distinct answers.
 
     Every (kind, language) template is resolved up front so a missing
-    translation fails before any call.
+    translation fails before any call. The completion cue is a template's:
+    the label sits before its fixed closing text, so a prompt ends as its
+    template does.
     """
     languages = list(dict.fromkeys(language for language, _tag, _temp in steps))
     templates = {
@@ -111,6 +113,7 @@ def _run_calls(
         for kind in dict.fromkeys(c.source for c in concepts)
         for language in languages
     }
+    cues = {key: completion_cue(template.text) for key, template in templates.items()}
     # Flatten every (concept, step) pair into one batch so the gateway's
     # bounded parallelism covers the whole strategy, then regroup.
     items = []
@@ -124,8 +127,8 @@ def _run_calls(
         span = slice(i * len(steps), (i + 1) * len(steps))
         rule = rules[concept.source]
         answers = [
-            None if response is None else extract_id(rule, completion_cue(prompt.text) + response.raw_text)
-            for (prompt, _tag, _temp), response in zip(items[span], responses[span])
+            None if response is None else extract_id(rule, cues[concept.source, language] + response.raw_text)
+            for (language, _tag, _temp), response in zip(steps, responses[span])
         ]
         u = unique_answers(answers)
         records.append(InvarianceRecord(concept, strategy, len(answers), tuple(answers), u, pi_value(len(answers), u)))

@@ -15,6 +15,7 @@ import json
 import string
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .errors import ParseError
 from .ontology import Concept, Ontology, OntologyKind, normalize_label
@@ -79,21 +80,42 @@ def accuracy(records: list[ProbeRecord]) -> float:
 
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions, and
-    substitutions turning a into b (unit costs)."""
+    substitutions turning a into b (unit costs).
+
+    Bit-parallel: G. Myers, "A fast bit-vector algorithm for approximate
+    string matching based on dynamic programming", J. ACM 46(3), 1999, in
+    the global edit-distance form of H. Hyyrö (2001). Bit i of each vector
+    holds the vertical delta of DP row i+1 over the shorter string; one pass
+    over the longer string updates every row at once. Python ints are
+    unbounded, so long strings need no blocking.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    width = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, dist = width, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & width
+        mv = ph & xv
+    return dist
 
 
 def _tokens(s: str) -> set[str]:
@@ -186,39 +208,58 @@ def _ndjson_lines(text: str):
 
 
 def write_scored_records(records: list[ProbeRecord]) -> str:
-    """Serialize records as newline-delimited JSON, one object per line."""
-    return _ndjson(
-        {
-            "source": r.concept.source.value,
-            "gold_id": r.concept.id,
-            "label": r.concept.label,
-            "predicted_id": r.predicted,
-            "correct": r.correct,
-            "invented": r.invented,
-            "raw_text": r.raw_text,
-        }
+    """Serialize records as newline-delimited JSON, one object per line.
+
+    Each line is what `_ndjson` writes for the row (sorted keys, non-ASCII
+    as is), built from one template with the strings JSON-encoded in C.
+    """
+    return "".join(
+        f'{{"correct": {"true" if r.correct else "false"}, "gold_id": {encode_basestring(r.concept.id)}, '
+        f'"invented": {"true" if r.invented else "false"}, "label": {encode_basestring(r.concept.label)}, '
+        f'"predicted_id": {"null" if r.predicted is None else encode_basestring(r.predicted)}, '
+        f'"raw_text": {encode_basestring(r.raw_text)}, "source": {encode_basestring(r.concept.source.value)}}}\n'
         for r in records
     )
 
 
+# Each scored-row field, the Python types of the JSON values it may hold,
+# and those values as messages name them.
+_SCORED_FIELDS = (
+    ("gold_id", str, "a string"),
+    ("source", str, "a string"),
+    ("predicted_id", (str, type(None)), "a string or null"),
+    ("correct", bool, "true or false"),
+    ("invented", bool, "true or false"),
+    ("raw_text", str, "a string"),
+)
+
+
 def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
-    """Parse a scored-run file, resolving each row against the ontology."""
+    """Parse a scored-run file, resolving each row against the ontology.
+
+    A row lacking `raw_text` reads as an empty answer; every other field is
+    required, with the JSON type `_SCORED_FIELDS` names.
+    """
     records = []
     for line_no, line in _ndjson_lines(text):
         try:
             row = json.loads(line)
-            gold_id = row["gold_id"]
-            source = row["source"]
-            record_fields = (row["predicted_id"], bool(row["correct"]), bool(row["invented"]), row.get("raw_text", ""))
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            row.setdefault("raw_text", "")
+            for name, types, expected in _SCORED_FIELDS:
+                if not isinstance(row[name], types):
+                    raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
         except (KeyError, ValueError) as exc:
             raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
+        gold_id, source = row["gold_id"], row["source"]
         concept = ontology.id_index.get(gold_id)
         if concept is None:
             raise ParseError(f"scored run: line {line_no} references unknown concept {gold_id}")
         if source != ontology.kind.value:
             raise ParseError(f"scored run: line {line_no} has source {source}, ontology is {ontology.kind.value}")
         try:
-            records.append(ProbeRecord(concept, *record_fields))
+            records.append(ProbeRecord(concept, row["predicted_id"], row["correct"], row["invented"], row["raw_text"]))
         except ValueError as exc:
             raise ParseError(f"scored run: line {line_no} violates record invariants: {exc}") from exc
     return records

@@ -48,12 +48,15 @@ def alnum_length(code: str) -> int:
     return sum(1 for ch in code if ch.isalnum())
 
 
+_ICD10_CODE = re.compile(r"([A-Z])([0-9]{2})(?:\.?([0-9A-Z]{1,4}))?")
+
+
 def canonical_icd10(code: str) -> str | None:
     """Upper-case an ICD-10 code and insert the dot after the third
     character when it is missing and the code has four or more
     alphanumerics. Returns None when the code has no canonical form.
     """
-    m = re.fullmatch(r"([A-Z])([0-9]{2})(?:\.?([0-9A-Z]{1,4}))?", code.strip().upper())
+    m = _ICD10_CODE.fullmatch(code.strip().upper())
     if m is None:
         return None
     head = m.group(1) + m.group(2)
@@ -296,23 +299,27 @@ def write_concept_table(ontology: Ontology) -> str:
 def read_concept_table(text: str) -> Ontology:
     """Parse the canonical concept table back into an Ontology."""
     kind: OntologyKind | None = None
+    kind_text = None
     concepts: list[Concept] = []
     universe: set[str] = set()
     for row_no, row in _csv_rows(text, CANONICAL_HEADER, "concept table"):
         source, concept_id, label = row[0].strip(), row[1].strip(), row[2]
-        try:
-            row_kind = OntologyKind(source)
-        except ValueError:
-            raise ParseError(f"concept table: row {row_no} has unknown source {source!r}") from None
-        if kind is None:
-            kind = row_kind
-        elif row_kind is not kind:
-            raise ParseError(f"concept table: row {row_no} mixes {row_kind.value} into a {kind.value} table")
+        # Every row must repeat the first row's source text, so only a
+        # differing text needs the enum lookup, which then names the fault.
+        if source != kind_text:
+            try:
+                row_kind = OntologyKind(source)
+            except ValueError:
+                raise ParseError(f"concept table: row {row_no} has unknown source {source!r}") from None
+            if kind is not None:
+                raise ParseError(f"concept table: row {row_no} mixes {row_kind.value} into a {kind.value} table")
+            kind, kind_text = row_kind, source
         if not concept_id:
             raise ParseError(f"concept table: row {row_no} has an empty id")
-        if concept_id in universe:
-            raise ParseError(f"concept table: row {row_no} duplicates id {concept_id}")
+        seen = len(universe)
         universe.add(concept_id)
+        if len(universe) == seen:
+            raise ParseError(f"concept table: row {row_no} duplicates id {concept_id}")
         if label.strip():
             try:
                 concepts.append(Concept(concept_id, label, kind))

@@ -175,6 +175,29 @@ class TestUsageErrors:
         assert code == 2
 
 
+    @pytest.mark.parametrize("field, value", [("predicted_id", 1234), ("correct", "false")])
+    def test_scored_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, value):
+        ontology = make_ontology(3)
+        concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
+        row = {"correct": False, "gold_id": "GO:0000001", "invented": False, "label": "synthetic concept 0000001",
+               "predicted_id": "GO:0000002", "raw_text": "GO:0000002", "source": "GO"}
+        row[field] = value
+        scored = tmp_path / "scored.ndjson"
+        scored.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code = run_cli(
+            "analyze",
+            "--scored", str(scored),
+            "--ontology", str(concepts_path),
+            "--occurrences", str(occurrences_path),
+            "--out", str(tmp_path / "analysis"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"scored run: line 1 is malformed: {field} must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "analysis" / "analysis.json").exists()
+
+
 class TestDegenerateExit:
     def test_constant_accuracy_exits_three(self, tmp_path, capsys):
         ontology = make_ontology(20)

@@ -170,7 +170,7 @@ class TestResponseCache:
     def test_round_trip_byte_identical(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.ndjson")
         raw = 'GO:0001822 — "kidney"\n\ttail'
-        cache.put("k1", "digest", "prompt", raw)
+        cache.put("k1", "prompt", raw)
         cache.close()
         again = ResponseCache(tmp_path / "cache.ndjson")
         assert again.get("k1") == raw
@@ -178,8 +178,8 @@ class TestResponseCache:
     def test_put_skips_existing_key(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         cache = ResponseCache(path)
-        cache.put("k1", "d", "p", "first")
-        cache.put("k1", "d", "p", "second")
+        cache.put("k1", "p", "first")
+        cache.put("k1", "p", "second")
         cache.close()
         assert cache.get("k1") == "first"
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
@@ -187,8 +187,8 @@ class TestResponseCache:
     def test_partial_final_line_tolerated(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         cache = ResponseCache(path)
-        cache.put("k1", "d", "p", "one")
-        cache.put("k2", "d", "p", "two")
+        cache.put("k1", "p", "one")
+        cache.put("k2", "p", "two")
         cache.close()
         text = path.read_text(encoding="utf-8")
         path.write_text(text + '{"key_hash": "k3", "raw', encoding="utf-8")
@@ -209,12 +209,12 @@ class TestResponseCache:
     def test_torn_final_line_cut_before_first_append(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         cache = ResponseCache(path)
-        cache.put("k1", "d", "p", "one")
-        cache.put("k2", "d", "p", "two")
+        cache.put("k1", "p", "one")
+        cache.put("k2", "p", "two")
         cache.close()
         path.write_text(path.read_text(encoding="utf-8") + '{"key_hash": "k3", "raw', encoding="utf-8")
         resumed = ResponseCache(path)
-        resumed.put("k3", "d", "p", "three")
+        resumed.put("k3", "p", "three")
         resumed.close()
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
         again = ResponseCache(path)
@@ -227,7 +227,7 @@ class TestResponseCache:
         other = '{"key_hash": "k2", "raw_text": "two"}\n'
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(other)
-        resumed.put("k3", "d", "p", "three")
+        resumed.put("k3", "p", "three")
         resumed.close()
         text = path.read_text(encoding="utf-8")
         assert text.startswith('{"key_hash": "k1", "raw_text": "one"}\n{"key_h' + other)
@@ -243,8 +243,8 @@ class TestResponseCache:
         path = tmp_path / "cache.ndjson"
         cache = ResponseCache(path)
         raw = "GO:0000001\u2028next\x85line\u2029end"
-        cache.put("k1", "d", "p", raw)
-        cache.put("k2", "d", "p", "two")
+        cache.put("k1", "p", raw)
+        cache.put("k2", "p", "two")
         cache.close()
         again = ResponseCache(path)
         assert again.get("k1") == raw
@@ -256,7 +256,7 @@ class TestResponseCache:
 
         def writer(w: int) -> None:
             for i in range(150):
-                cache.put(f"k{w}-{i}", "d", "p", f"answer {w} {i} " + "x" * (i % 40))
+                cache.put(f"k{w}-{i}", "p", f"answer {w} {i} " + "x" * (i % 40))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -277,11 +277,11 @@ class TestResponseCache:
     def test_each_append_is_on_disk_before_close(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         cache = ResponseCache(path)
-        cache.put("k1", "d", "p", "one")
+        cache.put("k1", "p", "one")
         assert ResponseCache(path).get("k1") == "one"
         cache.close()
         cache.close()
-        cache.put("k2", "d", "p", "two")
+        cache.put("k2", "p", "two")
         cache.close()
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
@@ -435,6 +435,37 @@ class TestGatewayCaching:
         cache.close()
         assert not first.from_cache and not second.from_cache
         assert len(cache) == 2
+
+    def test_cache_rows_carry_no_config_digest(self, tmp_path):
+        ontology = make_ontology(3)
+        cache = ResponseCache(tmp_path / "cache.ndjson")
+        gateway = ModelGateway(make_config(), profile=make_profile(ontology, recall=1.0), cache=cache)
+        response = gateway.complete(chat_prompt(ontology.concepts[0]))
+        cache.close()
+        row = json.loads((tmp_path / "cache.ndjson").read_text(encoding="utf-8"))
+        assert list(row) == ["key_hash", "prompt", "raw_text", "timestamp"]
+        assert row["key_hash"] == response.request_id
+
+    def test_old_row_layout_with_config_digest_still_hits(self, tmp_path):
+        ontology = make_ontology(3)
+        profile = make_profile(ontology, recall=1.0)
+        prompt = chat_prompt(ontology.concepts[0])
+        key = ModelGateway(make_config(), profile=profile).complete(prompt).request_id
+        old_row = {
+            "key_hash": key,
+            "config_digest": make_config().digest(),
+            "prompt": prompt.text,
+            "raw_text": "GO:0000042 from the old cache",
+            "timestamp": 1700000000.25,
+        }
+        path = tmp_path / "cache.ndjson"
+        path.write_text(json.dumps(old_row, ensure_ascii=False) + "\n", encoding="utf-8")
+        cache = ResponseCache(path)
+        hit = ModelGateway(make_config(), profile=profile, cache=cache).complete(prompt)
+        cache.close()
+        assert hit.from_cache
+        assert hit.raw_text == "GO:0000042 from the old cache"
+        assert path.read_text(encoding="utf-8").count("\n") == 1
 
 
 def _openai_chat_body(text: str) -> dict:

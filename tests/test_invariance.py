@@ -10,10 +10,12 @@ from ontoprobe import (
     ConfigurationError,
     HallucinationStyle,
     InvarianceRecord,
+    ModelConfig,
     ModelGateway,
     OccurrenceRecord,
     ParseError,
     PromptStyle,
+    Provider,
     Strategy,
     aggregate_avpi,
     bucketize,
@@ -135,6 +137,17 @@ class TestRunPi1:
         gateway = ModelGateway(make_config(), profile=make_profile(ontology, recall=1.0))
         records = run_pi1(gateway, ontology.concepts, m=3, style=PromptStyle.COMPLETION)
         assert all(r.answers == (r.concept.id,) * 3 for r in records)
+
+    def test_completion_cue_glued_onto_bare_digits(self):
+        ontology = make_ontology(4)
+
+        def transport(url, payload, headers):
+            assert payload["prompt"].endswith("is GO:")
+            return 200, {"choices": [{"text": " " + payload["prompt"].split('"')[1].split()[-1] + "."}]}
+
+        config = ModelConfig(Provider.COMPLETION_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+        records = run_pi1(ModelGateway(config, transport=transport), ontology.concepts, m=2, style=PromptStyle.COMPLETION)
+        assert [r.answers for r in records] == [(c.id, c.id) for c in ontology.concepts]
 
     def test_m_validation(self):
         ontology = make_ontology(2)

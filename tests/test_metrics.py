@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import random
 
 import pytest
@@ -300,6 +302,38 @@ class TestScoredRoundTrip:
         lines[1] = '{"gold_id": "GO:0000002"}'
         with pytest.raises(ParseError, match="line 2"):
             read_scored_records("\n".join(lines), ontology)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("predicted_id", 1234, "predicted_id must be a string or null, got 1234"),
+            ("correct", "false", "correct must be true or false, got 'false'"),
+            ("correct", 0, "correct must be true or false, got 0"),
+            ("invented", None, "invented must be true or false, got None"),
+            ("gold_id", 2, "gold_id must be a string, got 2"),
+            ("source", None, "source must be a string, got None"),
+            ("raw_text", ["GO:0000002"], "raw_text must be a string, got ['GO:0000002']"),
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, field, value, reason):
+        ontology = make_ontology(3)
+        rows = [json.loads(line) for line in write_scored_records(self._records(ontology)).splitlines()]
+        rows[1][field] = value
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        with pytest.raises(ParseError) as excinfo:
+            read_scored_records(text, ontology)
+        assert str(excinfo.value) == f"scored run: line 2 is malformed: {reason}"
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"GO:0000001"', "null"])
+    def test_row_that_is_not_an_object_rejected(self, line):
+        with pytest.raises(ParseError, match="line 1 is malformed: not a JSON object"):
+            read_scored_records(line + "\n", make_ontology(3))
+
+    def test_row_without_raw_text_reads_as_empty_answer(self):
+        ontology = make_ontology(3)
+        line = '{"correct": false, "gold_id": "GO:0000001", "invented": false, "predicted_id": null, "source": "GO"}'
+        [record] = read_scored_records(line, ontology)
+        assert record.raw_text == ""
 
     def test_unknown_concept_rejected(self):
         ontology = make_ontology(2)

@@ -199,6 +199,30 @@ class TestCanonicalTable:
         with pytest.raises(ParseError):
             read_concept_table("source,id,label\nMESH,D000001,a\n")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("MESH,D000001,a", "concept table: row 2 has unknown source 'MESH'"),
+            ("GO,GO:0000001,a\nMESH,D000001,b", "concept table: row 3 has unknown source 'MESH'"),
+            ("GO,GO:0000001,a\ngo,GO:0000002,b", "concept table: row 3 has unknown source 'go'"),
+            ("GO,GO:0000001,a\nICD10,,b", "concept table: row 3 mixes ICD10 into a GO table"),
+            (" GO ,GO:0000001,a\nGO,GO:0000002,b", None),
+            ("GO,,a", "concept table: row 2 has an empty id"),
+            ("GO,GO:0000001,a\nGO,GO:0000001,", "concept table: row 3 duplicates id GO:0000001"),
+            ("GO,GO:0000001,a\nGO, GO:0000001 ,b", "concept table: row 3 duplicates id GO:0000001"),
+            ("GO,GO:1,a", "concept table: row 2: concept ID 'GO:1' does not match the GO pattern"),
+            ("", "concept table: no data rows"),
+        ],
+    )
+    def test_row_checks_keep_their_order_and_messages(self, rows, message):
+        text = f"source,id,label\n{rows}\n"
+        if message is None:
+            assert read_concept_table(text).kind is OntologyKind.GO
+            return
+        with pytest.raises(ParseError) as excinfo:
+            read_concept_table(text)
+        assert str(excinfo.value) == message
+
 
 class TestOntologyInvariants:
     def test_concepts_must_be_in_universe(self):

@@ -1,12 +1,17 @@
 """Properties that hold for every input: ID extraction and canonicalisation,
-NDJSON round trips, edit distance, bucketing, response-cache keys, and the
-numpy/scipy.special statistics against their scipy.stats references."""
+NDJSON round trips and encodings, edit distance, bucketing, response-cache
+keys and lines, completion cues, and the numpy/scipy.special statistics
+against their scipy.stats references."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
 import json
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -23,13 +28,17 @@ from ontoprobe import (
     OccurrenceRecord,
     Ontology,
     OntologyKind,
+    ProbeRecord,
     PromptStyle,
     Provider,
     RenderedPrompt,
+    ResponseCache,
     Strategy,
     bucketize,
+    builtin_templates,
     cache_key,
     canonical_icd10,
+    completion_cue,
     default_rules,
     extract_id,
     granger_f,
@@ -38,12 +47,14 @@ from ontoprobe import (
     pi_value,
     read_invariance_records,
     read_scored_records,
+    render,
     score,
     spearman,
     unique_answers,
     write_invariance_records,
     write_scored_records,
 )
+from ontoprobe import gateway as gateway_module
 from ontoprobe.ontology import ID_PATTERNS
 from ontoprobe.stats import _average_ranks
 
@@ -182,6 +193,22 @@ def test_levenshtein_is_a_metric_equal_to_reference(a, b, c):
     assert levenshtein(a, c) <= ab + levenshtein(b, c)
 
 
+# Arbitrary Unicode, astral characters included, mixed with a few shared
+# characters so that long strings still align nontrivially; the long form is
+# longer than one 64-bit machine word.
+EDIT_CHARS = st.one_of(st.characters(), st.sampled_from("GO:07\u00e9\U0001f9ec\U0010ffff"))
+EDIT_STRINGS = st.one_of(st.text(EDIT_CHARS, max_size=12), st.text(EDIT_CHARS, min_size=65, max_size=150))
+
+
+@BOUNDED
+@given(a=EDIT_STRINGS, b=EDIT_STRINGS)
+@example(a="G" * 64 + "\U0001f9ec", b="G" * 65)
+@example(a="\U0001f9ec" * 70, b="")
+@example(a="GO:0000001", b="GO:0000001\U0001f9ec")
+def test_levenshtein_equals_reference_on_unicode(a, b):
+    assert levenshtein(a, b) == reference_edit_distance(a, b)
+
+
 @BOUNDED
 @given(
     counts=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=80),
@@ -227,9 +254,8 @@ def reference_cache_key(provider, model_name, temperature, prompt_text, repetiti
 
 
 # Characters JSON escapes, or that str.splitlines() breaks at, plus astral ones.
-AWKWARD_TEXT = st.text(
-    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029\x85\U0001f9ec\U0010ffff'))
-)
+AWKWARD_CHARS = st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029\x85\U0001f9ec\U0010ffff')
+AWKWARD_TEXT = st.text(st.one_of(st.characters(), AWKWARD_CHARS))
 TEMPERATURES = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, 0.1, 0.7, 1.0, 5e-324]))
 TAGS = st.integers(min_value=0, max_value=2**63)
 TEMPLATE_KEY = (OntologyKind.WIKIDATA, PromptStyle.CHAT, Language.EN)
@@ -267,3 +293,119 @@ def test_gateway_request_keys_equal_reference(provider, model_name, endpoint, re
         reference_cache_key(provider, model_name, temperature, text, tag, gateway.identity)
         for temperature, text, tag in requests
     ]
+
+
+# A concept label needs a non-space character.
+AWKWARD_LABELS = AWKWARD_TEXT.filter(str.strip)
+SCORED_CONCEPTS = st.builds(
+    Concept,
+    id=st.sampled_from(["GO:0000001", "GO:1234567"]),
+    label=st.one_of(AWKWARD_LABELS, st.just("x")),
+    source=st.just(OntologyKind.GO),
+)
+
+
+@st.composite
+def probe_records(draw):
+    predicted = draw(st.one_of(st.none(), AWKWARD_TEXT))
+    correct = predicted is not None and draw(st.booleans())
+    invented = predicted is not None and not correct and draw(st.booleans())
+    return ProbeRecord(draw(SCORED_CONCEPTS), predicted, correct, invented, draw(AWKWARD_TEXT))
+
+
+def reference_scored_ndjson(records) -> str:
+    """The scored file as first defined: json.dumps of each row's dict."""
+    rows = (
+        {
+            "source": r.concept.source.value,
+            "gold_id": r.concept.id,
+            "label": r.concept.label,
+            "predicted_id": r.predicted,
+            "correct": r.correct,
+            "invented": r.invented,
+            "raw_text": r.raw_text,
+        }
+        for r in records
+    )
+    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+
+
+@BOUNDED
+@given(records=st.lists(probe_records(), max_size=5))
+@example(records=[ProbeRecord(Concept("GO:0000001", 'a"\\\u2028', OntologyKind.GO), None, False, False, "\x85\x00")])
+@example(records=[ProbeRecord(Concept("GO:0000001", "y\u2029z", OntologyKind.GO), "\U0001f9ec", False, True, "\x1f")])
+def test_write_scored_records_equals_reference(records):
+    assert write_scored_records(records) == reference_scored_ndjson(records)
+
+
+# AWKWARD_TEXT less lone surrogates, which a UTF-8 file cannot hold.
+ENCODABLE_TEXT = st.text(st.one_of(st.characters(exclude_categories=["Cs"]), AWKWARD_CHARS))
+
+
+@BOUNDED
+@given(
+    rows=st.lists(st.tuples(st.text("0123456789abcdef", min_size=1), ENCODABLE_TEXT, ENCODABLE_TEXT), min_size=1, max_size=5),
+    timestamp=st.one_of(st.floats(min_value=0.0, max_value=4e9), st.sampled_from([1700000000.123456, 0.1, 1e-7])),
+)
+def test_cache_line_equals_reference(rows, timestamp):
+    rows = list({key: (key, prompt, raw) for key, prompt, raw in rows}.values())
+    expected = "".join(
+        json.dumps({"key_hash": k, "prompt": p, "raw_text": r, "timestamp": timestamp}, ensure_ascii=False) + "\n"
+        for k, p, r in rows
+    )
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gateway_module.time, "time", return_value=timestamp):
+        path = Path(tmp) / "cache.ndjson"
+        cache = ResponseCache(path)
+        for key, prompt, raw in rows:
+            cache.put(key, prompt, raw)
+        cache.close()
+        assert path.read_text(encoding="utf-8") == expected
+        again = ResponseCache(path)
+        assert [again.get(key) for key, _p, _r in rows] == [raw for _k, _p, raw in rows]
+
+
+def reference_normalize_id(kind: OntologyKind, raw_match: str) -> str | None:
+    """normalize_id as first defined: each pattern formatted and looked up per call."""
+    raw = raw_match.strip()
+    if kind in (OntologyKind.GO, OntologyKind.UBERON):
+        prefix = kind.value
+        m = re.fullmatch(rf"(?:{prefix})?[\s:_]*([0-9]+)", raw, flags=re.IGNORECASE)
+        if m is None or len(m.group(1)) > 7:
+            return None
+        return f"{prefix}:{m.group(1).zfill(7)}"
+    if kind is OntologyKind.ICD10:
+        m = re.fullmatch(r"([A-Z])([0-9]{2})(?:\.?([0-9A-Z]{1,4}))?", raw.upper())
+        if m is None:
+            return None
+        head = m.group(1) + m.group(2)
+        return head if m.group(3) is None else f"{head}.{m.group(3)}"
+    m = re.fullmatch(r"Q?\s*0*([0-9]+)", raw, flags=re.IGNORECASE)
+    if m is None:
+        return None
+    digits = m.group(1).lstrip("0")
+    return f"Q{digits}" if digits else None
+
+
+@BOUNDED
+@given(kind=KINDS, raw=st.one_of(ID_LIKE, AWKWARD_TEXT, st.from_regex(r"(?i)\s*(go|uberon)?[\s:_]*[0-9]{0,9}\s*")))
+@example(kind=OntologyKind.UBERON, raw="uberon_\t0042")
+@example(kind=OntologyKind.GO, raw="GO:12345678")
+@example(kind=OntologyKind.WIKIDATA, raw="q 000")
+def test_normalize_id_equals_reference(kind, raw):
+    assert normalize_id(kind, raw) == reference_normalize_id(kind, raw)
+
+
+SAMPLE_IDS = {
+    OntologyKind.GO: "GO:0000001",
+    OntologyKind.UBERON: "UBERON:0000001",
+    OntologyKind.ICD10: "A00",
+    OntologyKind.WIKIDATA: "Q1",
+}
+
+
+@BOUNDED
+@given(label=st.one_of(AWKWARD_LABELS, st.sampled_from(["is GO:", "UBERON: ", "GO:\n", "x GO:"])))
+def test_completion_cue_of_template_equals_cue_of_prompt(label):
+    for template in builtin_templates():
+        concept = Concept(SAMPLE_IDS[template.ontology_kind], label, template.ontology_kind)
+        assert completion_cue(template.text) == completion_cue(render(template, concept).text)
