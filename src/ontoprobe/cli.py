@@ -11,7 +11,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ConfigurationError, DegenerateInputError, ParseError, TransportExhausted
+from .errors import DegenerateInputError, OntoprobeError, TransportExhausted
 from .gateway import HallucinationStyle
 from .invariance import Strategy
 from .ontology import OntologyKind
@@ -129,18 +129,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return EXIT_TRANSPORT
-    except (ParseError, ConfigurationError, ValueError) as exc:
+    except (OntoprobeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except TransportExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, DegenerateInputError):
+            return EXIT_DEGENERATE
+        return EXIT_TRANSPORT if isinstance(exc, TransportExhausted) else EXIT_USAGE
     return EXIT_OK
 
 

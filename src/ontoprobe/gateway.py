@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import string
 import threading
 import time
@@ -39,6 +41,9 @@ from .ontology import OntologyKind
 from .prompts import RenderedPrompt
 
 API_KEY_ENV = "ONTOPROBE_API_KEY"
+
+# json.loads joins an escaped pair, so a surrogate left in a str is unpaired.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class Provider(str, Enum):
@@ -103,38 +108,25 @@ class ModelConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
         path = Path(path)
-        data = _read_json(path, "model config")
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"model config {path} must be a JSON object")
-        config = cls.from_dict(data)
+        config = cls.from_dict(_read_json(path, "model config"))
         if config.profile_path is not None and not os.path.isabs(config.profile_path):
             config.profile_path = str((path.parent / config.profile_path).resolve())
         return config
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.value if isinstance(value, Enum) else value
-        return out
 
-    def digest(self) -> str:
-        return _digest(self.to_dict())
-
-
-def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError):
-    """The JSON value in `path`. An unreadable file raises ConfigurationError,
-    invalid JSON `invalid`; both messages name `what` and `path` as given."""
+def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError) -> dict:
+    """The JSON object in `path`. An unreadable file raises ConfigurationError,
+    invalid JSON or another JSON value `invalid`; the messages name `what`
+    and `path` as given."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
         raise invalid(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
-def _digest(data: dict) -> str:
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+    if not isinstance(data, dict):
+        raise invalid(f"{what} {path} is not a JSON object")
+    return data
 
 
 @dataclass(frozen=True)
@@ -154,10 +146,6 @@ class SyntheticProfile:
     popularity: dict[str, int] = field(default_factory=dict)
     temperature_sensitivity: float = 0.0
     universe: frozenset[str] | None = None
-    _popular_table: tuple[list[str], list[int]] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _universe_cache: frozenset[str] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if isinstance(self.hallucination_style, str):
@@ -171,24 +159,16 @@ class SyntheticProfile:
         if self.temperature_sensitivity < 0:
             raise ConfigurationError("temperature_sensitivity must be non-negative")
 
+    @functools.cached_property
     def effective_universe(self) -> frozenset[str]:
-        if self._universe_cache is None:
-            self._universe_cache = self.universe if self.universe is not None else frozenset(self.memorization_curve)
-        return self._universe_cache
+        return self.universe if self.universe is not None else frozenset(self.memorization_curve)
 
+    @functools.cached_property
     def popular_table(self) -> tuple[list[str], list[int]]:
-        if self._popular_table is None:
-            items = sorted((cid, c) for cid, c in self.popularity.items() if c > 0)
-            if not items:
-                items = [(cid, 1) for cid in sorted(self.memorization_curve)]
-            ids = [cid for cid, _ in items]
-            cumulative = []
-            running = 0
-            for _, c in items:
-                running += c
-                cumulative.append(running)
-            self._popular_table = (ids, cumulative)
-        return self._popular_table
+        items = sorted((cid, c) for cid, c in self.popularity.items() if c > 0)
+        if not items:
+            items = [(cid, 1) for cid in sorted(self.memorization_curve)]
+        return [cid for cid, _ in items], list(itertools.accumulate(c for _, c in items))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticProfile":
@@ -236,8 +216,9 @@ def _key_function(provider: Provider, model_name: str, identity: str):
 
     The key is the sha256 of the UTF-8 JSON list [provider, model name,
     repr(temperature), prompt text, repetition tag, identity], as
-    `json.dumps(..., ensure_ascii=False)` writes it. Its head and tail are
-    encoded once here; each request encodes only its own three fields.
+    `json.dumps(..., ensure_ascii=False)` writes it, a lone surrogate as its
+    code point's three bytes. Its head and tail are encoded once here; each
+    request encodes only its own three fields.
     """
     head = json.dumps([provider.value, model_name], ensure_ascii=False)[:-1] + ", "
     tail = ", " + json.dumps(identity, ensure_ascii=False) + "]"
@@ -247,7 +228,7 @@ def _key_function(provider: Provider, model_name: str, identity: str):
             f"{head}{encode_basestring(repr(float(temperature)))}, "
             f"{encode_basestring(prompt_text)}, {int(repetition_tag)}{tail}"
         )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return hashlib.sha256(material.encode("utf-8", "surrogatepass")).hexdigest()
 
     return key
 
@@ -361,13 +342,13 @@ def synthetic_respond(profile: SyntheticProfile, prompt: RenderedPrompt, tempera
     if style is HallucinationStyle.NEAR_MISS:
         return _mutate_one_digit(gold, rng)
     if style is HallucinationStyle.POPULAR_ID:
-        ids, cumulative = profile.popular_table()
+        ids, cumulative = profile.popular_table
         for _ in range(16):
             pick = rng.choices(ids, cum_weights=cumulative, k=1)[0]
             if pick != gold:
                 return pick
         return _mutate_one_digit(gold, rng)
-    return _invent_id(kind, profile.effective_universe(), rng)
+    return _invent_id(kind, profile.effective_universe, rng)
 
 
 TIMEOUT_S = 120  # per connect, send or receive on an HTTP socket
@@ -542,7 +523,7 @@ class ModelGateway:
         # What decides the answers besides the cache key's own provider,
         # model name, temperature, prompt and tag. Pacing and retry fields
         # are left out, so tuning them keeps the cache.
-        self.identity = _digest(answer_inputs)
+        self.identity = hashlib.sha256(json.dumps(answer_inputs, sort_keys=True).encode("utf-8")).hexdigest()
         self._cache_key = _key_function(config.provider, config.model_name, self.identity)
 
     def close(self) -> None:
@@ -679,7 +660,8 @@ class ModelGateway:
                 content = choice["text"]
         except (AssertionError, KeyError, IndexError, TypeError) as exc:
             raise ConfigurationError(f"unexpected response shape from endpoint: {exc!r}") from exc
-        return content if isinstance(content, str) else ""
+        # UTF-8 cannot hold a lone surrogate ("\ud800" in the body): U+FFFD stands in.
+        return _LONE_SURROGATE.sub("\ufffd", content) if isinstance(content, str) else ""
 
     def _throttle(self) -> None:
         cap = self.config.requests_per_minute

@@ -11,7 +11,6 @@ inflate the count. PI = 1 - (U-1)/(M-1); AvPI is its mean per bucket.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,7 @@ from enum import Enum
 from .errors import ParseError
 from .extraction import completion_cue, default_rules, extract_id
 from .gateway import ModelGateway
-from .metrics import _ndjson, _ndjson_lines, is_correct
+from .metrics import _ndjson, _ndjson_lines, _read_row, is_correct
 from .ontology import Concept, Ontology
 from .popularity import BucketAssignment
 from .prompts import Language, PromptStyle, render, template_for
@@ -215,25 +214,37 @@ def write_invariance_records(records: list[InvarianceRecord]) -> str:
     )
 
 
+_ANSWERS = "a list of strings or nulls"
+_INVARIANCE_FIELDS = (
+    ("strategy", (str,), "a string"),
+    ("gold_id", (str,), "a string"),
+    ("m", (int,), "an integer"),
+    ("answers", (list,), _ANSWERS),
+    ("u", (int,), "an integer"),
+    ("pi", (int, float), "a number"),
+)
+
+
 def read_invariance_records(text: str, ontology: Ontology) -> list[InvarianceRecord]:
-    """Parse an invariance run file back against its ontology."""
+    """Parse an invariance run file back against its ontology; m and u must
+    count the row's answers and its distinct answers."""
     records = []
     for line_no, line in _ndjson_lines(text):
         try:
-            row = json.loads(line)
+            row = _read_row(line, _INVARIANCE_FIELDS)
+            answers = tuple(row["answers"])
+            if any(answer is not None and type(answer) is not str for answer in answers):
+                raise ValueError(f"answers must be {_ANSWERS}, got {row['answers']!r}")
+            if row["m"] != len(answers):
+                raise ValueError(f"m is {row['m']} for {len(answers)} answers")
+            if row["u"] != unique_answers(answers):
+                raise ValueError(f"u is {row['u']} for {unique_answers(answers)} distinct answers")
             concept = ontology.id_index.get(row["gold_id"])
             if concept is None:
                 raise KeyError(f"unknown concept {row['gold_id']}")
             records.append(
-                InvarianceRecord(
-                    concept,
-                    Strategy(row["strategy"]),
-                    int(row["m"]),
-                    tuple(row["answers"]),
-                    int(row["u"]),
-                    float(row["pi"]),
-                )
+                InvarianceRecord(concept, Strategy(row["strategy"]), row["m"], answers, row["u"], float(row["pi"]))
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ParseError(f"invariance run: line {line_no} is malformed: {exc}") from exc
     return records

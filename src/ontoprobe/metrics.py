@@ -222,15 +222,27 @@ def write_scored_records(records: list[ProbeRecord]) -> str:
     )
 
 
-# Each scored-row field, the Python types of the JSON values it may hold,
-# and those values as messages name them.
+def _read_row(line: str, fields, **defaults) -> dict:
+    """The JSON object on `line` over `defaults`, each of `fields` (name, types,
+    their wording) holding exactly one of its types: a JSON boolean is no
+    integer. Raises ValueError, or KeyError for a missing field."""
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError("not a JSON object")
+    row = {**defaults, **row}
+    for name, types, expected in fields:
+        if type(row[name]) not in types:
+            raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
+    return row
+
+
 _SCORED_FIELDS = (
-    ("gold_id", str, "a string"),
-    ("source", str, "a string"),
+    ("gold_id", (str,), "a string"),
+    ("source", (str,), "a string"),
     ("predicted_id", (str, type(None)), "a string or null"),
-    ("correct", bool, "true or false"),
-    ("invented", bool, "true or false"),
-    ("raw_text", str, "a string"),
+    ("correct", (bool,), "true or false"),
+    ("invented", (bool,), "true or false"),
+    ("raw_text", (str,), "a string"),
 )
 
 
@@ -243,13 +255,7 @@ def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     records = []
     for line_no, line in _ndjson_lines(text):
         try:
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise ValueError("not a JSON object")
-            row.setdefault("raw_text", "")
-            for name, types, expected in _SCORED_FIELDS:
-                if not isinstance(row[name], types):
-                    raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
+            row = _read_row(line, _SCORED_FIELDS, raw_text="")
         except (KeyError, ValueError) as exc:
             raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
         gold_id, source = row["gold_id"], row["source"]

@@ -1,8 +1,9 @@
 """Run orchestration: the functions behind the CLI subcommands.
 
 Every run writes its data outputs atomically (temp file + rename) plus a
-manifest recording input digests, derived seeds, template keys,
-extraction patterns, and counts. All randomness in a run flows from one
+manifest recording each input file with its sha256, the run's parameters,
+seed and answering model, derived seeds, template keys, extraction
+patterns, and counts. All randomness in a run flows from one
 master seed, fanned out per purpose through derive_seed, so a single
 integer reproduces an experiment byte for byte. Data outputs are
 deterministic given (inputs, seed); the manifest additionally records a
@@ -113,31 +114,53 @@ class RunManifest:
     run_id: str
     command: str
     timestamp: str
+    inputs: dict = field(default_factory=dict)
+    parameters: dict = field(default_factory=dict)
+    seed: int | None = None
+    model: dict | None = None
     ontology: dict | None = None
-    model_config_digest: str | None = None
     template_keys: list[str] = field(default_factory=list)
     extraction_rules: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
     derived_seeds: dict[str, int] = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
-
-    def save(self, path: str | Path) -> None:
-        _write_json(path, asdict(self))
 
 
 def _write_json(path: str | Path, data) -> None:
     atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _finish_run(out_dir: Path, command: str, id_parts: list[str], **fields) -> RunManifest:
-    """Stamp, save and return the run's manifest; the run id hashes the
-    command with `id_parts`."""
-    run_id = hashlib.sha256(json.dumps([command, *id_parts]).encode("utf-8")).hexdigest()[:16]
-    manifest = RunManifest(run_id, command, time.strftime("%Y-%m-%dT%H:%M:%S%z"), **fields)
-    manifest.save(out_dir / "manifest.json")
+def _finish_run(out_dir: Path, command: str, inputs: dict, parameters: dict, seed=None, gateway=None, **fields):
+    """Stamp, save and return the run's manifest. `inputs` (each a path, a list
+    of paths or None) and `parameters` are keyed by run_* keyword. The run id
+    hashes the command, the sha256 of each input, the parameters, the seed and
+    the model that answered (`gateway`), not where the inputs lie."""
+    recorded = {name: _input_entry(value) for name, value in inputs.items()}
+    digests = {
+        name: [e["sha256"] for e in entry] if isinstance(entry, list) else entry and entry["sha256"]
+        for name, entry in recorded.items()
+    }
+    model = gateway and {
+        "provider": gateway.config.provider.value,
+        "model_name": gateway.config.model_name,
+        "temperature": gateway.config.temperature,
+        "identity": gateway.identity,
+    }
+    material = json.dumps([command, digests, parameters, seed, model], sort_keys=True)
+    run_id = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    manifest = RunManifest(run_id, command, stamp, recorded, parameters, seed, model, **fields)
+    _write_json(out_dir / "manifest.json", asdict(manifest))
     return manifest
+
+
+def _input_entry(value):
+    """An input's manifest entry: {"path", "sha256"}, a list of them, or None."""
+    if value is None:
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_input_entry(path) for path in value]
+    return {"path": str(value), "sha256": file_digest(value)}
 
 
 def _rule_digests() -> dict[str, str]:
@@ -147,10 +170,9 @@ def _rule_digests() -> dict[str, str]:
     }
 
 
-def _ontology_descriptor(path: Path, ontology: Ontology) -> dict:
+def _ontology_descriptor(ontology: Ontology) -> dict:
     return {
         "kind": ontology.kind.value,
-        "file_digest": file_digest(path),
         "concept_count": len(ontology.concepts),
         "universe_count": len(ontology.universe),
     }
@@ -225,9 +247,9 @@ def run_ingest(
     return _finish_run(
         out_dir,
         "ingest",
-        [file_digest(source_path), kind_enum.value, str(max_code_chars), universe_path and file_digest(universe_path)],
-        ontology=_ontology_descriptor(concepts_path, ontology),
-        parameters={"source": str(source_path), "kind": kind_enum.value, "max_code_chars": max_code_chars},
+        inputs={"source_path": source_path, "universe_path": universe_path},
+        parameters={"kind": kind_enum.value, "max_code_chars": max_code_chars},
+        ontology=_ontology_descriptor(ontology),
         counts={"concepts": len(ontology.concepts), "universe": len(ontology.universe)},
         outputs={"concepts": str(concepts_path)},
     )
@@ -260,7 +282,6 @@ def run_probe(
     in the manifest; the CLI turns a nonzero failure count into exit
     code 4.
     """
-    ontology_path = Path(ontology_path)
     out_dir = Path(out_dir)
     if not isinstance(config, ModelConfig):
         config = ModelConfig.from_file(config)
@@ -269,7 +290,8 @@ def run_probe(
         raise ConfigurationError(f"{ontology_path} has no probeable concepts")
 
     prompt_style = _style_for(config, style)
-    template = template_for(ontology.kind, prompt_style, Language(language.upper()))
+    language = language.upper()
+    template = template_for(ontology.kind, prompt_style, Language(language))
 
     concepts = list(ontology.concepts)
     derived: dict[str, int] = {}
@@ -304,14 +326,14 @@ def run_probe(
     return _finish_run(
         out_dir,
         "probe",
-        [file_digest(ontology_path), config.digest(), str(seed), str(sample), prompt_style.value, language.upper()],
-        ontology=_ontology_descriptor(ontology_path, ontology),
-        model_config_digest=config.digest(),
-        template_keys=[f"{ontology.kind.value}/{prompt_style.value}/{language.upper()}"],
-        extraction_rules=_rule_digests(),
+        inputs={"ontology_path": ontology_path},
+        parameters={"sample": sample, "style": prompt_style.value, "language": language, "kind": kind and kind.upper()},
         seed=seed,
+        gateway=gateway,
+        ontology=_ontology_descriptor(ontology),
+        template_keys=[f"{ontology.kind.value}/{prompt_style.value}/{language}"],
+        extraction_rules=_rule_digests(),
         derived_seeds=derived,
-        parameters={"sample": sample, "style": prompt_style.value, "language": language.upper()},
         counts={
             "requested": len(concepts),
             "completed": len(concepts) - failed,
@@ -342,7 +364,6 @@ def run_analyze(
     over shared concepts (same bucketing, per-bucket mean vs mean).
     """
     scored_path = Path(scored_path)
-    ontology_path = Path(ontology_path)
     out_dir = Path(out_dir)
     if not occurrence_paths:
         raise ConfigurationError("analyze requires at least one occurrence file")
@@ -431,19 +452,13 @@ def run_analyze(
     return _finish_run(
         out_dir,
         "analyze",
-        [file_digest(scored_path), file_digest(ontology_path), *(file_digest(p) for p in occurrence_paths)]
-        + [str(seed), str(buckets), str(lag), str(permutations), str(top_k)],
-        ontology=_ontology_descriptor(ontology_path, ontology),
-        seed=seed,
-        derived_seeds={"analyze-spearman": spearman_seed},
+        inputs={"scored_path": scored_path, "ontology_path": ontology_path, "occurrence_paths": occurrence_paths},
         parameters={
-            "buckets": buckets,
-            "lag": lag,
-            "permutations": permutations,
-            "top_k": top_k,
-            "allow_missing": allow_missing,
-            "occurrences": [str(p) for p in occurrence_paths],
+            "buckets": buckets, "lag": lag, "permutations": permutations, "top_k": top_k, "allow_missing": allow_missing
         },
+        seed=seed,
+        ontology=_ontology_descriptor(ontology),
+        derived_seeds={"analyze-spearman": spearman_seed},
         counts={"records": len(records), "excluded": excluded},
         outputs={"analysis": str(analysis_path)},
     )
@@ -498,7 +513,6 @@ def run_invariance(
     (PI1 against a deterministic model) has no rank correlation; the
     report records that reason instead of a coefficient.
     """
-    ontology_path = Path(ontology_path)
     out_dir = Path(out_dir)
     _require_positive(permutations=permutations)
     if not isinstance(config, ModelConfig):
@@ -557,34 +571,14 @@ def run_invariance(
                 "avpi_accuracy_spearman": correlation,
             }
 
+    languages = inv.DEFAULT_LANGUAGES if inv.Strategy.PI3 in chosen else (Language.EN,)
     report_path = out_dir / "invariance_report.json"
     _write_json(report_path, report)
     outputs["report"] = str(report_path)
     return _finish_run(
         out_dir,
         "invariance",
-        [
-            file_digest(ontology_path),
-            config.digest(),
-            file_digest(occurrence_path),
-            str(seed),
-            str(buckets),
-            str(k_sample),
-            str(m_repeats),
-            ",".join(s.value for s in chosen),
-            prompt_style.value,
-            str(permutations),
-        ],
-        ontology=_ontology_descriptor(ontology_path, ontology),
-        model_config_digest=config.digest(),
-        template_keys=sorted(
-            {f"{ontology.kind.value}/{prompt_style.value}/{lang.value}" for lang in inv.DEFAULT_LANGUAGES}
-            if inv.Strategy.PI3 in chosen
-            else {f"{ontology.kind.value}/{prompt_style.value}/EN"}
-        ),
-        extraction_rules=_rule_digests(),
-        seed=seed,
-        derived_seeds={"invariance-sample": sample_seed},
+        inputs={"ontology_path": ontology_path, "occurrence_path": occurrence_path},
         parameters={
             "strategies": [s.value for s in chosen],
             "buckets": buckets,
@@ -593,6 +587,12 @@ def run_invariance(
             "permutations": permutations,
             "style": prompt_style.value,
         },
+        seed=seed,
+        gateway=gateway,
+        ontology=_ontology_descriptor(ontology),
+        template_keys=sorted(f"{ontology.kind.value}/{prompt_style.value}/{lang.value}" for lang in languages),
+        extraction_rules=_rule_digests(),
+        derived_seeds={"invariance-sample": sample_seed},
         counts=counts,
         outputs=outputs,
     )
@@ -626,7 +626,8 @@ def run_simulate(
     if temperature_sensitivity < 0:
         raise ConfigurationError("--temperature-sensitivity must be non-negative")
 
-    rng = random.Random(derive_seed(seed, "simulate-counts"))
+    derived = {label: derive_seed(seed, label) for label in ("simulate-counts", "synthetic-model")}
+    rng = random.Random(derived["simulate-counts"])
     concepts = []
     occurrence_records = []
     counts = []
@@ -653,7 +654,7 @@ def run_simulate(
         "provider": "SYNTHETIC",
         "model_name": "synthetic-memorizer",
         "temperature": 0.0,
-        "seed": derive_seed(seed, "synthetic-model"),
+        "seed": derived["synthetic-model"],
         "profile_path": "profile.json",
     }
 
@@ -668,18 +669,15 @@ def run_simulate(
     return _finish_run(
         out_dir,
         "simulate",
-        [str(size), str(seed), str(max_exponent), style.value, str(temperature_sensitivity)],
-        seed=seed,
-        derived_seeds={
-            "simulate-counts": derive_seed(seed, "simulate-counts"),
-            "synthetic-model": derive_seed(seed, "synthetic-model"),
-        },
+        inputs={},
         parameters={
             "size": size,
             "max_exponent": max_exponent,
             "hallucination_style": style.value,
             "temperature_sensitivity": temperature_sensitivity,
         },
+        seed=seed,
+        derived_seeds=derived,
         counts={"concepts": size, "min_count": min(counts), "max_count": max_count},
         outputs={
             "concepts": str(concepts_path),
@@ -698,6 +696,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _malformed(what: str, path):
+    """Report a part of a JSON file that is missing or of the wrong type as a ParseError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{what} {path} has no {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what} {path} is malformed: {exc}") from exc
+
+
 def run_report(
     analysis_path: str | Path,
     out_dir: str | Path,
@@ -708,73 +717,71 @@ def run_report(
     bucket_table.csv has exactly n_buckets rows with the documented
     header; summary.csv is a two-column metric,value table.
     """
-    analysis_path = Path(analysis_path)
     out_dir = Path(out_dir)
     analysis = _read_json(analysis_path, "analysis file", ParseError)
 
     avpi: dict[str, dict[int, float]] = {"PI1": {}, "PI2": {}, "PI3": {}}
     if invariance_path is not None:
         invariance_report = _read_json(invariance_path, "invariance report", ParseError)
-        for name, strategy_report in invariance_report.get("strategies", {}).items():
-            for row in strategy_report.get("per_bucket", []):
-                avpi.setdefault(name, {})[int(row["bucket"])] = float(row["avpi"])
+        with _malformed("invariance report", invariance_path):
+            for name, strategy_report in invariance_report.get("strategies", {}).items():
+                for row in strategy_report.get("per_bucket", []):
+                    avpi.setdefault(name, {})[int(row["bucket"])] = float(row["avpi"])
 
-    ratios: dict[int, float | None] = {}
-    if analysis.get("bias"):
-        for row in analysis["bias"]["per_bucket"]:
-            ratios[int(row["bucket"])] = row["ratio"]
+    with _malformed("analysis file", analysis_path):
+        ratios: dict[int, float | None] = {}
+        if analysis.get("bias"):
+            for row in analysis["bias"]["per_bucket"]:
+                ratios[int(row["bucket"])] = row["ratio"]
 
-    lines = [BUCKET_TABLE_HEADER]
-    for row in analysis["per_bucket"]:
-        bucket = int(row["bucket"])
-        cells = [
-            str(bucket),
-            _format_cell(row.get("mean_occurrence")),
-            _format_cell(row.get("accuracy")),
-            _format_cell(avpi["PI1"].get(bucket)),
-            _format_cell(avpi["PI2"].get(bucket)),
-            _format_cell(avpi["PI3"].get(bucket)),
-            _format_cell(row.get("mean_levenshtein")),
-            _format_cell(row.get("mean_jaccard")),
-            _format_cell(ratios.get(bucket)),
+        lines = [BUCKET_TABLE_HEADER]
+        for row in analysis["per_bucket"]:
+            bucket = int(row["bucket"])
+            cells = [
+                str(bucket),
+                _format_cell(row.get("mean_occurrence")),
+                _format_cell(row.get("accuracy")),
+                _format_cell(avpi["PI1"].get(bucket)),
+                _format_cell(avpi["PI2"].get(bucket)),
+                _format_cell(avpi["PI3"].get(bucket)),
+                _format_cell(row.get("mean_levenshtein")),
+                _format_cell(row.get("mean_jaccard")),
+                _format_cell(ratios.get(bucket)),
+            ]
+            lines.append(",".join(cells))
+        bucket_table = "\n".join(lines) + "\n"
+
+        overall = analysis["overall"]
+        summary_rows = [
+            ("n_records", analysis.get("n_records")),
+            ("accuracy", overall.get("accuracy")),
+            ("mean_levenshtein", overall.get("mean_levenshtein")),
+            ("n_levenshtein", overall.get("n_levenshtein")),
+            ("mean_jaccard", overall.get("mean_jaccard")),
+            ("n_jaccard", overall.get("n_jaccard")),
+            ("unique_predicted", overall.get("unique_predicted")),
+            ("pct_unique_invented", overall.get("pct_unique_invented")),
+            ("pct_errors_from_invented", overall.get("pct_errors_from_invented")),
+            ("spearman_rho", analysis["spearman"].get("rho")),
+            ("spearman_p_value", analysis["spearman"].get("p_value")),
+            ("granger_f", analysis["granger"].get("f_statistic")),
+            ("granger_p_value", analysis["granger"].get("p_value")),
+            ("granger_lag", analysis["granger"].get("lag")),
+            ("bias_k", analysis["bias"].get("k") if analysis.get("bias") else None),
+            ("bias_unassigned", analysis["bias"].get("unassigned") if analysis.get("bias") else None),
         ]
-        lines.append(",".join(cells))
-    bucket_table = "\n".join(lines) + "\n"
-
-    overall = analysis["overall"]
-    summary_rows = [
-        ("n_records", analysis.get("n_records")),
-        ("accuracy", overall.get("accuracy")),
-        ("mean_levenshtein", overall.get("mean_levenshtein")),
-        ("n_levenshtein", overall.get("n_levenshtein")),
-        ("mean_jaccard", overall.get("mean_jaccard")),
-        ("n_jaccard", overall.get("n_jaccard")),
-        ("unique_predicted", overall.get("unique_predicted")),
-        ("pct_unique_invented", overall.get("pct_unique_invented")),
-        ("pct_errors_from_invented", overall.get("pct_errors_from_invented")),
-        ("spearman_rho", analysis["spearman"].get("rho")),
-        ("spearman_p_value", analysis["spearman"].get("p_value")),
-        ("granger_f", analysis["granger"].get("f_statistic")),
-        ("granger_p_value", analysis["granger"].get("p_value")),
-        ("granger_lag", analysis["granger"].get("lag")),
-        ("bias_k", analysis["bias"].get("k") if analysis.get("bias") else None),
-        ("bias_unassigned", analysis["bias"].get("unassigned") if analysis.get("bias") else None),
-    ]
-    summary = SUMMARY_HEADER + "\n" + "\n".join(f"{name},{_format_cell(value)}" for name, value in summary_rows) + "\n"
+        summary = "\n".join([SUMMARY_HEADER, *(f"{name},{_format_cell(value)}" for name, value in summary_rows)]) + "\n"
 
     bucket_path = out_dir / "bucket_table.csv"
     summary_path = out_dir / "summary.csv"
     atomic_write_text(bucket_path, bucket_table)
     atomic_write_text(summary_path, summary)
 
-    digests = [file_digest(analysis_path)]
-    if invariance_path is not None:
-        digests.append(file_digest(invariance_path))
     return _finish_run(
         out_dir,
         "report",
-        digests,
-        parameters={"analysis": str(analysis_path), "invariance": str(invariance_path) if invariance_path else None},
+        inputs={"analysis_path": analysis_path, "invariance_path": invariance_path},
+        parameters={},
         counts={"bucket_rows": len(analysis["per_bucket"])},
         outputs={"bucket_table": str(bucket_path), "summary": str(summary_path)},
     )

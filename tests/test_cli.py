@@ -197,6 +197,37 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "analysis" / "analysis.json").exists()
 
+    @pytest.mark.parametrize(
+        "analysis, invariance, message",
+        [
+            ("{}", None, "analysis file {analysis} has no 'per_bucket'"),
+            ("[1]", None, "analysis file {analysis} is not a JSON object"),
+            ('{"per_bucket": [{"bucket": 1}]}', None, "analysis file {analysis} has no 'overall'"),
+            ('{"per_bucket": [7]}', None, "analysis file {analysis} is malformed: 'int' object is not subscriptable"),
+            (None, "[]", "invariance report {invariance} is not a JSON object"),
+            (
+                None,
+                '{"strategies": []}',
+                "invariance report {invariance} is malformed: 'list' object has no attribute 'items'",
+            ),
+            (None, '{"strategies": {"PI1": {"per_bucket": [{"bucket": 1}]}}}', "invariance report {invariance} has no 'avpi'"),
+        ],
+    )
+    def test_malformed_report_input_exits_two(self, tmp_path, capsys, analysis, invariance, message):
+        analysis_path = tmp_path / "analysis.json"
+        well_formed = '{"per_bucket": [], "overall": {}, "spearman": {}, "granger": {}}'
+        analysis_path.write_text(analysis or well_formed, encoding="utf-8")
+        invariance_path = tmp_path / "invariance_report.json"
+        invariance_path.write_text(invariance or '{"strategies": {}}', encoding="utf-8")
+        code = run_cli(
+            "report", "--analysis", str(analysis_path), "--invariance", str(invariance_path),
+            "--out", str(tmp_path / "report"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: " + message.format(analysis=analysis_path, invariance=invariance_path) + "\n"
+        assert not (tmp_path / "report").exists()
+
 
 class TestDegenerateExit:
     def test_constant_accuracy_exits_three(self, tmp_path, capsys):

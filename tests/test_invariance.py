@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import make_config, make_ontology, make_profile
@@ -279,6 +281,43 @@ class TestInvarianceIO:
         text = write_invariance_records(self._records(make_ontology(3)))
         with pytest.raises(ParseError, match="GO:0000003"):
             read_invariance_records(text, ontology)
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"m": True, "answers": "GO", "pi": "0.5"}, "m must be an integer, got True"),
+            ({"answers": "GO"}, "answers must be a list of strings or nulls, got 'GO'"),
+            ({"answers": [1, None]}, "answers must be a list of strings or nulls, got [1, None]"),
+            ({"pi": "0.5"}, "pi must be a number, got '0.5'"),
+            ({"pi": True}, "pi must be a number, got True"),
+            ({"u": 1.0}, "u must be an integer, got 1.0"),
+            ({"strategy": 1}, "strategy must be a string, got 1"),
+            ({"gold_id": None}, "gold_id must be a string, got None"),
+            ({"m": 3}, "m is 3 for 2 answers"),
+            ({"u": 2}, "u is 2 for 1 distinct answers"),
+            ({"answers": ["GO:0000001", None], "u": 1}, "u is 1 for 2 distinct answers"),
+        ],
+    )
+    def test_field_of_wrong_type_or_count_rejected(self, changes, reason):
+        row = {
+            "strategy": "PI1",
+            "source": "GO",
+            "gold_id": "GO:0000001",
+            "label": "synthetic concept 0000001",
+            "m": 2,
+            "answers": [None, None],
+            "u": 1,
+            "pi": 1.0,
+        }
+        good = json.dumps(row)
+        with pytest.raises(ParseError) as excinfo:
+            read_invariance_records(good + "\n" + json.dumps({**row, **changes}) + "\n", make_ontology(1))
+        assert str(excinfo.value) == f"invariance run: line 2 is malformed: {reason}"
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"GO:0000001"', "null"])
+    def test_row_that_is_not_an_object_rejected(self, line):
+        with pytest.raises(ParseError, match="line 1 is malformed: not a JSON object"):
+            read_invariance_records(line + "\n", make_ontology(1))
 
     def test_unknown_strategy(self):
         ontology = make_ontology(1)

@@ -245,12 +245,13 @@ def test_spearman_p_value_in_unit_interval(data, n_permutations, seed):
 
 
 def reference_cache_key(provider, model_name, temperature, prompt_text, repetition_tag, identity) -> str:
-    """The cache key as first defined: one json.dumps of the whole request."""
+    """The cache key as first defined: one json.dumps of the whole request,
+    with lone surrogates (on which UTF-8 raises) encoded as their code points."""
     material = json.dumps(
         [provider.value, model_name, repr(float(temperature)), prompt_text, int(repetition_tag), identity],
         ensure_ascii=False,
     )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return hashlib.sha256(material.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 # Characters JSON escapes, or that str.splitlines() breaks at, plus astral ones.
@@ -270,6 +271,8 @@ TEMPLATE_KEY = (OntologyKind.WIKIDATA, PromptStyle.CHAT, Language.EN)
     tag=TAGS,
     identity=AWKWARD_TEXT,
 )
+@example(provider=Provider.CHAT_HTTP, model_name="", temperature=0.0, prompt_text="", tag=0, identity="\ud800")
+@example(provider=Provider.SYNTHETIC, model_name="m\udfff", temperature=0.5, prompt_text="\ud83d", tag=1, identity="")
 def test_cache_key_equals_reference(provider, model_name, temperature, prompt_text, tag, identity):
     expected = reference_cache_key(provider, model_name, temperature, prompt_text, tag, identity)
     assert cache_key(provider, model_name, temperature, prompt_text, tag, identity) == expected
@@ -281,6 +284,9 @@ def test_cache_key_equals_reference(provider, model_name, temperature, prompt_te
     model_name=AWKWARD_TEXT,
     endpoint=AWKWARD_TEXT.map(lambda s: "https://" + s),
     requests=st.lists(st.tuples(TEMPERATURES, AWKWARD_TEXT, TAGS), min_size=1, max_size=4),
+)
+@example(
+    provider=Provider.CHAT_HTTP, model_name="\ud800", endpoint="https://x", requests=[(0.0, "GO:1 \udc00", 0)]
 )
 def test_gateway_request_keys_equal_reference(provider, model_name, endpoint, requests):
     def transport(url, payload, headers):
@@ -338,30 +344,47 @@ def test_write_scored_records_equals_reference(records):
     assert write_scored_records(records) == reference_scored_ndjson(records)
 
 
-# AWKWARD_TEXT less lone surrogates, which a UTF-8 file cannot hold.
+# AWKWARD_TEXT less lone surrogates. A prompt's label and template come
+# from UTF-8 files, which cannot hold one; an answer can (see below).
 ENCODABLE_TEXT = st.text(st.one_of(st.characters(exclude_categories=["Cs"]), AWKWARD_CHARS))
+
+
+def replace_lone_surrogates(text: str) -> str:
+    return "".join("\ufffd" if 0xD800 <= ord(ch) <= 0xDFFF else ch for ch in text)
 
 
 @BOUNDED
 @given(
-    rows=st.lists(st.tuples(st.text("0123456789abcdef", min_size=1), ENCODABLE_TEXT, ENCODABLE_TEXT), min_size=1, max_size=5),
+    rows=st.lists(st.tuples(ENCODABLE_TEXT, AWKWARD_TEXT), min_size=1, max_size=5),
     timestamp=st.one_of(st.floats(min_value=0.0, max_value=4e9), st.sampled_from([1700000000.123456, 0.1, 1e-7])),
 )
+@example(rows=[("p", "GO:0000001 \ud800"), ("q", "\udfff\U0001f9ec\ud83d")], timestamp=0.1)
 def test_cache_line_equals_reference(rows, timestamp):
-    rows = list({key: (key, prompt, raw) for key, prompt, raw in rows}.values())
-    expected = "".join(
-        json.dumps({"key_hash": k, "prompt": p, "raw_text": r, "timestamp": timestamp}, ensure_ascii=False) + "\n"
-        for k, p, r in rows
-    )
+    """Answers of any text, lone surrogates included, enter through an HTTP
+    gateway and are cached as the reference json.dumps line would hold them."""
+    rows = list(dict(rows).items())
+    answers = iter(raw for _prompt, raw in rows)
+
+    def transport(url, payload, headers):
+        return 200, {"choices": [{"message": {"content": next(answers)}}]}
+
+    config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gateway_module.time, "time", return_value=timestamp):
         path = Path(tmp) / "cache.ndjson"
         cache = ResponseCache(path)
-        for key, prompt, raw in rows:
-            cache.put(key, prompt, raw)
+        gateway = ModelGateway(config, cache=cache, transport=transport)
+        responses = [gateway.complete(RenderedPrompt(TEMPLATE_KEY, "Q1", prompt)) for prompt, _raw in rows]
         cache.close()
+        stored = [replace_lone_surrogates(raw) for _prompt, raw in rows]
+        assert [r.raw_text for r in responses] == stored
+        expected = "".join(
+            json.dumps({"key_hash": r.request_id, "prompt": p, "raw_text": raw, "timestamp": timestamp}, ensure_ascii=False)
+            + "\n"
+            for r, (p, _raw), raw in zip(responses, rows, stored)
+        )
         assert path.read_text(encoding="utf-8") == expected
         again = ResponseCache(path)
-        assert [again.get(key) for key, _p, _r in rows] == [raw for _k, _p, raw in rows]
+        assert [again.get(r.request_id) for r in responses] == stored
 
 
 def reference_normalize_id(kind: OntologyKind, raw_match: str) -> str | None:

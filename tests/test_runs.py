@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import inspect
 import json
 import os
 import re
+import shutil
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import make_config, make_ontology, make_profile
+from conftest import GO_OBO, make_config, make_ontology, make_profile
 from ontoprobe import (
     ConfigurationError,
     DegenerateInputError,
@@ -331,6 +335,24 @@ class TestProbe:
         records = read_scored_records(text, wikidata_ontology)
         assert [r.predicted for r in records] == [qid] * n
         assert not any(r.correct for r in records)
+
+    def test_lone_surrogate_in_answer_is_replaced_fresh_and_resumed(self, tmp_path):
+        ontology = make_ontology(3)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+
+        def transport(url, payload, headers):
+            return 200, json.loads('{"choices": [{"message": {"content": "GO:0000001 \\ud800"}}]}')
+
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+        cache = tmp_path / "cache.ndjson"
+        fresh = run_probe(concepts_path, config, tmp_path / "fresh", cache_path=cache, transport=transport)
+        resumed = run_probe(concepts_path, config, tmp_path / "resumed", cache_path=cache, transport=transport)
+        assert fresh.counts["failed"] == resumed.counts["failed"] == 0
+        assert resumed.counts["from_cache"] == 3
+        text = (tmp_path / "resumed" / "scored.ndjson").read_text(encoding="utf-8")
+        assert text == (tmp_path / "fresh" / "scored.ndjson").read_text(encoding="utf-8")
+        records = read_scored_records(text, ontology)
+        assert [(r.predicted, r.raw_text) for r in records] == [("GO:0000001", "GO:0000001 \ufffd")] * 3
 
     def test_completion_style_defaults_and_extracts_bare_digits(self, tmp_path):
         ontology = make_ontology(5)
@@ -880,3 +902,148 @@ class TestReport:
     def test_missing_analysis_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             run_report(tmp_path / "absent.json", tmp_path / "report")
+
+
+RUNNERS = {
+    "ingest": run_ingest,
+    "probe": run_probe,
+    "analyze": run_analyze,
+    "invariance": run_invariance,
+    "simulate": run_simulate,
+    "report": run_report,
+}
+# Keywords that say where a run writes and how it reaches the model; the
+# model itself enters the run id through the manifest's `model` block.
+NOT_IDENTITY = {"out_dir", "cache_path", "transport", "config", "profile"}
+
+
+@pytest.fixture(scope="module")
+def stage_runs(tmp_path_factory):
+    """Every stage once, off one `simulate --size 300`: per command, the
+    manifest on disk and the paths `runs.file_digest` read during the run."""
+    root = tmp_path_factory.mktemp("stages")
+    sim = root / "sim"
+    (root / "go.obo").write_text(GO_OBO, encoding="utf-8")
+    stages = {
+        "simulate": lambda out: run_simulate(out, size=300, seed=4),
+        "ingest": lambda out: run_ingest(root / "go.obo", "go", out),
+        "probe": lambda out: run_probe(sim / "concepts.csv", sim / "model_config.json", out, kind="go"),
+        "analyze": lambda out: run_analyze(
+            root / "probe" / "scored.ndjson",
+            sim / "concepts.csv",
+            [sim / "occurrences.csv", sim / "occurrences.csv"],
+            out,
+            buckets=10,
+            permutations=200,
+        ),
+        "invariance": lambda out: run_invariance(
+            sim / "concepts.csv",
+            sim / "model_config.json",
+            sim / "occurrences.csv",
+            out,
+            strategies=("PI1",),
+            buckets=10,
+            k_sample=2,
+            m_repeats=2,
+            permutations=100,
+        ),
+        "report": lambda out: run_report(
+            root / "analyze" / "analysis.json", out, invariance_path=root / "invariance" / "invariance_report.json"
+        ),
+    }
+    file_digest = runs.file_digest
+    digested: Counter = Counter()
+
+    def counting_digest(path):
+        digested[str(path)] += 1
+        return file_digest(path)
+
+    results = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runs, "file_digest", counting_digest)
+        for command, run in stages.items():
+            out = sim if command == "simulate" else root / command
+            digested.clear()
+            manifest = run(out)
+            on_disk = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert on_disk["run_id"] == manifest.run_id
+            results[command] = (on_disk, Counter(digested))
+    return results
+
+
+def _input_files(manifest: dict) -> list[dict]:
+    entries = []
+    for entry in manifest["inputs"].values():
+        entries.extend(entry if isinstance(entry, list) else [] if entry is None else [entry])
+    return entries
+
+
+class TestRunIdentity:
+    @pytest.mark.parametrize("command", sorted(RUNNERS))
+    def test_manifest_records_every_keyword_once(self, stage_runs, command):
+        manifest, _ = stage_runs[command]
+        signature = set(inspect.signature(RUNNERS[command]).parameters)
+        keywords = signature - NOT_IDENTITY
+        assert not set(manifest["inputs"]) & set(manifest["parameters"])
+        assert set(manifest["inputs"]) | set(manifest["parameters"]) == keywords - {"seed"}
+        assert (manifest["seed"] is not None) == ("seed" in keywords)
+        assert (manifest["model"] is not None) == ("config" in signature)
+
+    @pytest.mark.parametrize("command", sorted(RUNNERS))
+    def test_each_input_digested_once(self, stage_runs, command):
+        manifest, digested = stage_runs[command]
+        files = _input_files(manifest)
+        assert sorted(digested.elements()) == sorted(entry["path"] for entry in files)
+        for entry in files:
+            assert entry["sha256"] == runs.file_digest(entry["path"])
+
+    def test_model_block_names_the_answering_model(self, stage_runs):
+        model = stage_runs["probe"][0]["model"]
+        assert set(model) == {"provider", "model_name", "temperature", "identity"}
+        assert [model["provider"], model["model_name"], model["temperature"]] == ["SYNTHETIC", "synthetic-memorizer", 0.0]
+        assert re.fullmatch(r"[0-9a-f]{64}", model["identity"])
+    def test_inputs_copied_elsewhere_keep_run_ids(self, tmp_path):
+        run_simulate(tmp_path / "a", size=300, seed=4)
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        ids = {}
+        for name in ("a", "b"):
+            inputs = tmp_path / name
+            probe = run_probe(inputs / "concepts.csv", inputs / "model_config.json", tmp_path / f"probe_{name}")
+            invariance = run_invariance(
+                inputs / "concepts.csv",
+                inputs / "model_config.json",
+                inputs / "occurrences.csv",
+                tmp_path / f"invariance_{name}",
+                strategies=("PI2",),
+                buckets=10,
+                k_sample=2,
+                permutations=100,
+            )
+            ids[name] = (probe.run_id, invariance.run_id)
+        scored = [(tmp_path / f"probe_{name}" / "scored.ndjson").read_bytes() for name in ("a", "b")]
+        assert scored[0] == scored[1]
+        assert ids["a"] == ids["b"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_in_flight", 1), ("requests_per_minute", 600.0), ("max_attempts", 2), ("backoff_base", 0.0)],
+    )
+    def test_pacing_and_retry_settings_leave_run_id(self, tmp_path, name, value):
+        ontology = make_ontology(20)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        profile = make_profile(ontology, recall=0.5)
+        base = run_probe(concepts_path, make_config(), tmp_path / "base", profile=profile)
+        tuned_config = dataclasses.replace(make_config(), **{name: value})
+        tuned = run_probe(concepts_path, tuned_config, tmp_path / "tuned", profile=profile)
+        assert (tmp_path / "base" / "scored.ndjson").read_bytes() == (tmp_path / "tuned" / "scored.ndjson").read_bytes()
+        assert base.run_id == tuned.run_id
+
+    def test_profile_enters_run_id(self, tmp_path):
+        ontology = make_ontology(20)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        manifests = [
+            run_probe(concepts_path, make_config(), tmp_path / f"r{recall}", profile=make_profile(ontology, recall=recall))
+            for recall in (1.0, 0.0)
+        ]
+        assert [m.counts["correct"] for m in manifests] == [20, 0]
+        assert manifests[0].run_id != manifests[1].run_id
