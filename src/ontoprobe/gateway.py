@@ -290,7 +290,9 @@ class ResponseCache:
                     os.truncate(self.path, self._torn_at)
                 self._torn_at = None
                 self._handle = open(self.path, "a", encoding="utf-8")
-            # What json.dumps(..., ensure_ascii=False) writes for the row.
+            # What json.dumps(..., ensure_ascii=False) writes for the row. UTF-8
+            # cannot hold a lone surrogate of the prompt: U+FFFD stands in.
+            prompt_text = _LONE_SURROGATE.sub("\ufffd", prompt_text)
             self._handle.write(
                 f'{{"key_hash": {encode_basestring(key_hash)}, "prompt": {encode_basestring(prompt_text)}, '
                 f'"raw_text": {encode_basestring(raw_text)}, "timestamp": {time.time()!r}}}\n'
@@ -595,7 +597,7 @@ class ModelGateway:
         material = f"{self.config.seed}|{prompt.text}|{repr(float(temperature))}"
         if temperature > 0.0:
             material += f"|{repetition_tag}"
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
+        digest = hashlib.sha256(material.encode("utf-8", "surrogatepass")).digest()
         rng = random.Random(int.from_bytes(digest[:8], "big"))
         return synthetic_respond(self.profile, prompt, temperature, rng)
 

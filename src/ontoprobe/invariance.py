@@ -217,6 +217,7 @@ def write_invariance_records(records: list[InvarianceRecord]) -> str:
 _ANSWERS = "a list of strings or nulls"
 _INVARIANCE_FIELDS = (
     ("strategy", (str,), "a string"),
+    ("source", (str,), "a string"),
     ("gold_id", (str,), "a string"),
     ("m", (int,), "an integer"),
     ("answers", (list,), _ANSWERS),
@@ -226,12 +227,15 @@ _INVARIANCE_FIELDS = (
 
 
 def read_invariance_records(text: str, ontology: Ontology) -> list[InvarianceRecord]:
-    """Parse an invariance run file back against its ontology; m and u must
-    count the row's answers and its distinct answers."""
+    """Parse an invariance run file back against its ontology; a row's source
+    must be the ontology's kind, m and u must count its answers and its
+    distinct answers, and pi must be pi_value(m, u)."""
     records = []
     for line_no, line in _ndjson_lines(text):
         try:
             row = _read_row(line, _INVARIANCE_FIELDS)
+            if row["source"] != ontology.kind.value:
+                raise ValueError(f"source is {row['source']}, ontology is {ontology.kind.value}")
             answers = tuple(row["answers"])
             if any(answer is not None and type(answer) is not str for answer in answers):
                 raise ValueError(f"answers must be {_ANSWERS}, got {row['answers']!r}")
@@ -239,6 +243,9 @@ def read_invariance_records(text: str, ontology: Ontology) -> list[InvarianceRec
                 raise ValueError(f"m is {row['m']} for {len(answers)} answers")
             if row["u"] != unique_answers(answers):
                 raise ValueError(f"u is {row['u']} for {unique_answers(answers)} distinct answers")
+            # The writer's float round-trips exactly, so equality is the test.
+            if row["pi"] != pi_value(row["m"], row["u"]):
+                raise ValueError(f"pi is {row['pi']} for m={row['m']}, u={row['u']}")
             concept = ontology.id_index.get(row["gold_id"])
             if concept is None:
                 raise KeyError(f"unknown concept {row['gold_id']}")

@@ -69,7 +69,7 @@ from .popularity import (
     write_occurrences,
 )
 from .prompts import Language, PromptStyle, render, template_for
-from .stats import granger_f, spearman
+from .stats import granger_f, spearman, worker as stats_worker
 
 BUCKET_TABLE_HEADER = "bucket,mean_occurrence,accuracy,avpi_pi1,avpi_pi2,avpi_pi3,mean_levenshtein,mean_jaccard,r_bi"
 SUMMARY_HEADER = "metric,value"
@@ -371,81 +371,88 @@ def run_analyze(
         raise ConfigurationError("analyze takes at most two occurrence files")
     _require_positive(lag=lag, permutations=permutations, top_k=top_k)
 
-    ontology = load_ontology(ontology_path)
-    records = read_scored_records(scored_path.read_text(encoding="utf-8"), ontology)
-    if not records:
-        raise ParseError(f"{scored_path} holds no scored records")
-    occurrences = _load_occurrences(occurrence_paths[0])
-
-    assignment = bucketize(occurrences, buckets)
-    missing = {r.concept.id for r in records if r.concept.id not in assignment.membership}
-    excluded = 0
-    if missing:
-        if not allow_missing:
-            shown = ", ".join(sorted(missing)[:5])
-            raise ConfigurationError(
-                f"{len(missing)} scored concepts have no occurrence row (e.g. {shown}); "
-                "rerun with --allow-missing to exclude them"
-            )
-        kept = [r for r in records if r.concept.id not in missing]
-        excluded = len(records) - len(kept)
-        records = kept
+    # The statistics run in a worker process that loads numpy and scipy
+    # while this one reads the inputs and does the per-record work.
+    with stats_worker():
+        ontology = load_ontology(ontology_path)
+        records = read_scored_records(scored_path.read_text(encoding="utf-8"), ontology)
         if not records:
-            raise ConfigurationError("all scored records were excluded for missing occurrence rows")
+            raise ParseError(f"{scored_path} holds no scored records")
+        occurrences = _load_occurrences(occurrence_paths[0])
 
-    means = bucket_mean_counts(assignment, occurrences)
-    acc_rows = per_bucket_accuracy(assignment, records)
-    series = [(bucket, mean, acc) for (bucket, acc), mean in zip(acc_rows, means) if acc is not None and mean is not None]
-    xs = [mean for _bucket, mean, _acc in series]
-    ys = [acc for _bucket, _mean, acc in series]
-    spearman_seed = derive_seed(seed, "analyze-spearman")
-    correlation = spearman(xs, ys, n_permutations=permutations, seed=spearman_seed)
-    # Granger needs a longer series than Spearman (3*lag + 2 points); a
-    # short bucket series shouldn't take the correlation result with it.
-    granger_block = {
-        **_statistic(granger_f, xs, ys, lag=lag, fields=("f_statistic", "p_value", "n_effective", "df")),
-        "lag": lag,
-    }
+        assignment = bucketize(occurrences, buckets)
+        missing = {r.concept.id for r in records if r.concept.id not in assignment.membership}
+        excluded = 0
+        if missing:
+            if not allow_missing:
+                shown = ", ".join(sorted(missing)[:5])
+                raise ConfigurationError(
+                    f"{len(missing)} scored concepts have no occurrence row (e.g. {shown}); "
+                    "rerun with --allow-missing to exclude them"
+                )
+            kept = [r for r in records if r.concept.id not in missing]
+            excluded = len(records) - len(kept)
+            records = kept
+            if not records:
+                raise ConfigurationError("all scored records were excluded for missing occurrence rows")
 
-    # One similarity pass over the wrong records; buckets and the overall
-    # figures aggregate the same per-record values in record order.
-    pairs = _error_pairs(ontology, records)
-    pairs_by_bucket: dict[int, list] = {}
-    for pair in pairs:
-        pairs_by_bucket.setdefault(assignment.membership[pair[0].concept.id], []).append(pair)
-    n_scored = Counter(assignment.membership[r.concept.id] for r in records)
-    per_bucket = [
-        {
-            "bucket": bucket,
-            "occupancy": assignment.occupancy[bucket - 1],
-            "mean_occurrence": mean,
-            "n_scored": n_scored[bucket],
-            "accuracy": acc,
-            **asdict(_mean_similarity(pairs_by_bucket.get(bucket, []))),
-        }
-        for (bucket, acc), mean in zip(acc_rows, means)
-    ]
-    repeated = repeated_id_counts(records)
-    bias = bias_ratio(assignment, repeated, top_k) if repeated else None
-
-    report = {
-        "n_buckets": buckets,
-        "n_records": len(records),
-        "excluded_missing_occurrence": excluded,
-        "overall": {
+        means = bucket_mean_counts(assignment, occurrences)
+        acc_rows = per_bucket_accuracy(assignment, records)
+        # One similarity pass over the wrong records; buckets and the overall
+        # figures aggregate the same per-record values in record order.
+        pairs = _error_pairs(ontology, records)
+        pairs_by_bucket: dict[int, list] = {}
+        for pair in pairs:
+            pairs_by_bucket.setdefault(assignment.membership[pair[0].concept.id], []).append(pair)
+        n_scored = Counter(assignment.membership[r.concept.id] for r in records)
+        per_bucket = [
+            {
+                "bucket": bucket,
+                "occupancy": assignment.occupancy[bucket - 1],
+                "mean_occurrence": mean,
+                "n_scored": n_scored[bucket],
+                "accuracy": acc,
+                **asdict(_mean_similarity(pairs_by_bucket.get(bucket, []))),
+            }
+            for (bucket, acc), mean in zip(acc_rows, means)
+        ]
+        repeated = repeated_id_counts(records)
+        bias = bias_ratio(assignment, repeated, top_k) if repeated else None
+        overall = {
             "accuracy": accuracy(records),
             **asdict(_mean_similarity(pairs)),
             **asdict(hallucination_stats(ontology, records)),
-        },
-        "per_bucket": per_bucket,
-        "spearman": {**asdict(correlation), "series_buckets": [bucket for bucket, _mean, _acc in series]},
-        "granger": granger_block,
-        "bias": None if bias is None else asdict(bias),
-    }
-    if len(occurrence_paths) == 2:
-        report["occurrence_comparison"] = _compare_occurrences(
-            occurrences, Path(occurrence_paths[1]), buckets, permutations, derive_seed(seed, "analyze-comparison"), lag
-        )
+        }
+
+        series = [
+            (bucket, mean, acc) for (bucket, acc), mean in zip(acc_rows, means) if acc is not None and mean is not None
+        ]
+        xs = [mean for _bucket, mean, _acc in series]
+        ys = [acc for _bucket, _mean, acc in series]
+        spearman_seed = derive_seed(seed, "analyze-spearman")
+        correlation = spearman(xs, ys, n_permutations=permutations, seed=spearman_seed)
+        # Granger needs a longer series than Spearman (3*lag + 2 points); a
+        # short bucket series shouldn't take the correlation result with it.
+        granger_block = {
+            **_statistic(granger_f, xs, ys, lag=lag, fields=("f_statistic", "p_value", "n_effective", "df")),
+            "lag": lag,
+        }
+
+        report = {
+            "n_buckets": buckets,
+            "n_records": len(records),
+            "excluded_missing_occurrence": excluded,
+            "overall": overall,
+            "per_bucket": per_bucket,
+            "spearman": {**asdict(correlation), "series_buckets": [bucket for bucket, _mean, _acc in series]},
+            "granger": granger_block,
+            "bias": None if bias is None else asdict(bias),
+        }
+        # Read only after the primary test, whose degenerate series exits first.
+        if len(occurrence_paths) == 2:
+            report["occurrence_comparison"] = _compare_occurrences(
+                occurrences, Path(occurrence_paths[1]), buckets, permutations, derive_seed(seed, "analyze-comparison"), lag
+            )
 
     analysis_path = out_dir / "analysis.json"
     _write_json(analysis_path, report)
@@ -689,11 +696,14 @@ def run_simulate(
 
 
 def _format_cell(value) -> str:
+    """A number or null as its CSV cell; any other JSON value raises ValueError."""
     if value is None:
         return ""
-    if isinstance(value, float):
+    if type(value) is float:
         return repr(value)
-    return str(value)
+    if type(value) is int:
+        return str(value)
+    raise ValueError(f"a table cell must be a number or null, got {value!r}")
 
 
 @contextmanager

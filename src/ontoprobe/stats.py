@@ -5,10 +5,16 @@ significance from a seeded permutation test rather than the asymptotic
 approximation. The Granger F-test compares a restricted autoregression
 of y against one augmented with lagged x, over series ordered by
 ascending popularity bucket. Both are pure functions of their inputs.
+
+Inside a `worker()` block both are computed in one worker process, which
+loads numpy and scipy.special while the caller reads its inputs; outside
+one they are computed in the calling process.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,6 +45,70 @@ class GrangerResult:
     lag: int
     n_effective: int
     df: tuple[int, int]
+
+
+# The pool of the innermost worker() block open in this thread, if any.
+_pool: ContextVar = ContextVar("pool", default=None)
+
+
+def _load_libraries() -> None:
+    import numpy.random  # noqa: F401 - loaded ahead of the first statistic
+    import scipy.special  # noqa: F401
+
+
+@contextmanager
+def worker():
+    """Compute `spearman` and `granger_f` in one worker process while the
+    block runs.
+
+    The process starts on entry and at once imports numpy and
+    scipy.special, so a caller that enters before reading its inputs
+    overlaps that cost with its reading and never loads either library
+    itself. If the process cannot start, or breaks, the statistics are
+    computed in the calling process. On exit the process is shut down;
+    when the block raises, it is terminated first, so an error is not
+    held up by imports it no longer needs. It starts by the platform's
+    default method, which on Linux before Python 3.14 forks the caller:
+    enter before starting any thread.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=1)
+        pool.submit(_load_libraries)
+    except (OSError, NotImplementedError, BrokenProcessPool):
+        if pool is not None:
+            pool.shutdown()
+        pool = None
+    token = _pool.set(pool)
+    try:
+        yield
+    except BaseException:
+        if pool is not None:
+            # ProcessPoolExecutor has no public way to stop a running task
+            # before Python 3.14.
+            for process in list(pool._processes.values()):
+                process.terminate()
+        raise
+    finally:
+        _pool.reset(token)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _compute(core, *args):
+    """`core(*args)`, in the worker process if one is open."""
+    pool = _pool.get()
+    if pool is not None:
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return pool.submit(core, *args).result()
+        except BrokenProcessPool:
+            pass
+    return core(*args)
 
 
 def _as_series(name: str, values) -> np.ndarray:
@@ -74,6 +144,10 @@ def spearman(x, y, n_permutations: int = 10000, seed: int = 0) -> CorrelationRes
     (1 + #{|rho_perm| >= |rho_obs|}) / (1 + n_permutations)
     over seeded permutations of y, so it can never be exactly zero.
     """
+    return _compute(_spearman, x, y, n_permutations, seed)
+
+
+def _spearman(x, y, n_permutations: int, seed: int) -> CorrelationResult:
     import numpy as np
 
     xs = _as_series("x", x)
@@ -143,6 +217,10 @@ def granger_f(x, y, lag: int = 3) -> GrangerResult:
     x_{t-1..t-lag}. F = ((RSS_r - RSS_u)/lag) / (RSS_u/(n_eff - 2*lag - 1))
     with n_eff = n - lag usable rows.
     """
+    return _compute(_granger_f, x, y, lag)
+
+
+def _granger_f(x, y, lag: int) -> GrangerResult:
     import numpy as np
 
     if lag < 1:
@@ -173,7 +251,7 @@ def granger_f(x, y, lag: int = 3) -> GrangerResult:
     if rss_u <= 0.0:
         raise DegenerateInputError("unrestricted model fits exactly; F-statistic undefined")
     f_statistic = (max(rss_r - rss_u, 0.0) / lag) / (rss_u / df_den)
-    # F survival function; imported here so only analyze pays for scipy.
+    # F survival function; imported here so only the F-test pays for scipy.
     from scipy.special import fdtrc
 
     p_value = float(fdtrc(lag, df_den, f_statistic))

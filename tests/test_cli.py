@@ -211,6 +211,21 @@ class TestUsageErrors:
                 "invariance report {invariance} is malformed: 'list' object has no attribute 'items'",
             ),
             (None, '{"strategies": {"PI1": {"per_bucket": [{"bucket": 1}]}}}', "invariance report {invariance} has no 'avpi'"),
+            (
+                '{"per_bucket": [{"bucket": 1, "accuracy": [0.5, 0.7]}], "overall": {}, "spearman": {}, "granger": {}}',
+                None,
+                "analysis file {analysis} is malformed: a table cell must be a number or null, got [0.5, 0.7]",
+            ),
+            (
+                '{"per_bucket": [], "overall": {"accuracy": "a,b"}, "spearman": {}, "granger": {}}',
+                None,
+                "analysis file {analysis} is malformed: a table cell must be a number or null, got 'a,b'",
+            ),
+            (
+                '{"per_bucket": [], "n_records": true, "overall": {}, "spearman": {}, "granger": {}}',
+                None,
+                "analysis file {analysis} is malformed: a table cell must be a number or null, got True",
+            ),
         ],
     )
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, analysis, invariance, message):
@@ -230,7 +245,9 @@ class TestUsageErrors:
 
 
 class TestDegenerateExit:
-    def test_constant_accuracy_exits_three(self, tmp_path, capsys):
+    @staticmethod
+    def _perfect_probe(tmp_path):
+        """A probe whose model knows every concept: a constant accuracy series."""
         ontology = make_ontology(20)
         concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
         profile = {
@@ -255,10 +272,13 @@ class TestDegenerateExit:
             )
             == 0
         )
+        return ["--scored", str(probe / "scored.ndjson"), "--ontology", str(concepts_path)], occurrences_path
+
+    def test_constant_accuracy_exits_three(self, tmp_path, capsys):
+        inputs, occurrences_path = self._perfect_probe(tmp_path)
         code = run_cli(
             "analyze",
-            "--scored", str(probe / "scored.ndjson"),
-            "--ontology", str(concepts_path),
+            *inputs,
             "--occurrences", str(occurrences_path),
             "--buckets", "4",
             "--permutations", "100",
@@ -266,6 +286,23 @@ class TestDegenerateExit:
         )
         assert code == 3
         assert "rank variance" in capsys.readouterr().err
+
+    def test_constant_accuracy_exits_three_before_a_malformed_second_file_is_read(self, tmp_path, capsys):
+        inputs, occurrences_path = self._perfect_probe(tmp_path)
+        second = tmp_path / "second.csv"
+        second.write_text("concept_id,source,count\nGO:0000001,web,many\n", encoding="utf-8")
+        code = run_cli(
+            "analyze",
+            *inputs,
+            "--occurrences", str(occurrences_path),
+            "--occurrences", str(second),
+            "--buckets", "4",
+            "--permutations", "100",
+            "--out", str(tmp_path / "analysis"),
+        )
+        assert code == 3
+        assert "rank variance" in capsys.readouterr().err
+        assert not (tmp_path / "analysis" / "analysis.json").exists()
 
 
 class TestTransportExit:
@@ -365,6 +402,31 @@ class TestImportPath:
         assert json.loads(result.stdout) == [[0] * 5, False]
         resumed = json.loads((tmp_path / "resumed" / "manifest.json").read_text(encoding="utf-8"))
         assert resumed["counts"]["from_cache"] == 120
+
+    def test_analyze_main_process_loads_neither_numpy_nor_scipy(self, tmp_path):
+        # analyze computes its statistics in a worker process, which loads both.
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--size", "120", "--seed", "5", "--out", str(sim)) == 0
+        table = str(sim / "concepts.csv")
+        assert run_cli("probe", "--ontology", table, "--model-config", str(sim / "model_config.json"),
+                       "--out", str(tmp_path / "probe")) == 0
+        analyze = ["analyze", "--scored", str(tmp_path / "probe" / "scored.ndjson"), "--ontology", table]
+        analyze += ["--occurrences", str(sim / "occurrences.csv"), "--buckets", "12", "--out", str(tmp_path / "an")]
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import json, sys; from ontoprobe.cli import main; code = main(json.loads(sys.argv[1])); "
+                "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))]))",
+                json.dumps(analyze),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [0, []]
+        analysis = json.loads((tmp_path / "an" / "analysis.json").read_text(encoding="utf-8"))
+        assert "rho" in analysis["spearman"] and "f_statistic" in analysis["granger"]
 
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

@@ -33,6 +33,7 @@ from ontoprobe import (
     template_for,
 )
 from ontoprobe.ontology import ID_PATTERNS
+from ontoprobe.prompts import RenderedPrompt
 
 
 def chat_prompt(concept: Concept):
@@ -439,6 +440,34 @@ class TestGatewayCaching:
         row = json.loads((tmp_path / "cache.ndjson").read_text(encoding="utf-8"))
         assert list(row) == ["key_hash", "prompt", "raw_text", "timestamp"]
         assert row["key_hash"] == response.request_id
+
+    @pytest.mark.parametrize("provider", [Provider.SYNTHETIC, Provider.CHAT_HTTP])
+    def test_prompt_with_lone_surrogate_is_cached_and_replayed(self, tmp_path, provider):
+        # A label built in code can hold one; the row's prompt field gets U+FFFD.
+        ontology = make_ontology(1)
+        rendered = chat_prompt(ontology.concepts[0])
+        prompt = RenderedPrompt(rendered.template_key, rendered.concept_id, rendered.text + " \ud800")
+        config = make_config() if provider is Provider.SYNTHETIC else ModelConfig(
+            provider, "m", endpoint="https://api.example.test"
+        )
+
+        def answer_once(path, transport):
+            cache = ResponseCache(path)
+            try:
+                gateway = ModelGateway(
+                    config, profile=make_profile(ontology, recall=1.0), cache=cache, transport=transport
+                )
+                return gateway.complete(prompt)
+            finally:
+                cache.close()
+
+        path = tmp_path / "cache.ndjson"
+        first = answer_once(path, ScriptedTransport([(200, _openai_chat_body("GO:0000001"))]))
+        row = json.loads(path.read_text(encoding="utf-8"))
+        assert (row["key_hash"], row["prompt"]) == (first.request_id, rendered.text + " \ufffd")
+        assert not first.from_cache and first.raw_text == "GO:0000001"
+        second = answer_once(path, ScriptedTransport([AssertionError("a cached prompt must not be sent")]))
+        assert second.from_cache and second.raw_text == first.raw_text
 
     def test_old_row_layout_with_config_digest_still_hits(self, tmp_path):
         ontology = make_ontology(3)

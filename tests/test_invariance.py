@@ -296,6 +296,10 @@ class TestInvarianceIO:
             ({"m": 3}, "m is 3 for 2 answers"),
             ({"u": 2}, "u is 2 for 1 distinct answers"),
             ({"answers": ["GO:0000001", None], "u": 1}, "u is 1 for 2 distinct answers"),
+            ({"source": "UBERON"}, "source is UBERON, ontology is GO"),
+            ({"source": None}, "source must be a string, got None"),
+            ({"pi": 0.25}, "pi is 0.25 for m=2, u=1"),
+            ({"answers": ["GO:0000001", None], "u": 2}, "pi is 1.0 for m=2, u=2"),
         ],
     )
     def test_field_of_wrong_type_or_count_rejected(self, changes, reason):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import dataclasses
 import gc
 import inspect
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -44,7 +47,7 @@ from ontoprobe import (
     write_occurrences,
     write_scored_records,
 )
-from ontoprobe import metrics, runs
+from ontoprobe import metrics, runs, stats
 from ontoprobe.gateway import TransportFailure
 
 
@@ -611,6 +614,65 @@ class TestAnalyze:
                 tmp_path / "x",
                 buckets=2,
             )
+
+
+class TestAnalyzeWorker:
+    """analyze computes its statistics in one worker process (stats.worker)."""
+
+    @staticmethod
+    def _corpus(tmp_path, recall=None):
+        ontology = make_ontology(60)
+        concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
+        profile = monotone_profile(ontology) if recall is None else make_profile(ontology, recall=recall)
+        run_probe(concepts_path, make_config(), tmp_path / "probe", profile=profile)
+        return tmp_path / "probe" / "scored.ndjson", concepts_path, occurrences_path
+
+    def test_statistics_run_in_the_worker(self, tmp_path, monkeypatch):
+        calls = []
+        compute = stats._compute
+
+        def spy(core, *args):
+            calls.append((core.__name__, stats._pool.get() is not None))
+            return compute(core, *args)
+
+        monkeypatch.setattr(stats, "_compute", spy)
+        _, _, analysis = probe_then_analyze(tmp_path, n=60, buckets=6)
+        assert calls == [("_spearman", True), ("_granger_f", True)]
+        assert analysis["granger"]["error"].startswith("series too short for lag 3")
+
+    @pytest.mark.parametrize(
+        "failure, error",
+        [(None, None), ("second file", ParseError), ("missing rows", ConfigurationError), ("constant", DegenerateInputError)],
+    )
+    def test_no_child_left_after_return_or_raise(self, tmp_path, failure, error):
+        scored, concepts_path, occurrences_path = self._corpus(tmp_path, recall=1.0 if failure == "constant" else None)
+        paths = [occurrences_path]
+        if failure == "second file":
+            paths.append(tmp_path / "second.csv")
+            paths[1].write_text("concept_id,source,count\nGO:0000001,web,many\n", encoding="utf-8")
+        elif failure == "missing rows":
+            rows = occurrences_path.read_text(encoding="utf-8").splitlines()
+            occurrences_path.write_text("\n".join(rows[:-5]) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                run_analyze(scored, concepts_path, paths, tmp_path / "analysis", buckets=6, permutations=200)
+            gc.collect()
+        assert multiprocessing.active_children() == []
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_pool_that_cannot_start_gives_the_same_analysis(self, tmp_path, monkeypatch):
+        scored, concepts_path, occurrences_path = self._corpus(tmp_path)
+        run_analyze(scored, concepts_path, [occurrences_path], tmp_path / "worker", buckets=12, permutations=500)
+
+        def cannot_start(*args, **kwargs):
+            raise OSError("no process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_start)
+        run_analyze(scored, concepts_path, [occurrences_path], tmp_path / "in_process", buckets=12, permutations=500)
+        worker = (tmp_path / "worker" / "analysis.json").read_bytes()
+        assert (tmp_path / "in_process" / "analysis.json").read_bytes() == worker
+        assert "f_statistic" in json.loads(worker)["granger"]
 
 
 class TestInvarianceRun:

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ontoprobe import DegenerateInputError, granger_f, spearman
+from ontoprobe import DegenerateInputError, granger_f, spearman, stats
 
 
 class TestSpearmanRho:
@@ -226,3 +232,74 @@ class TestGrangerValidation:
         y[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             granger_f(np.arange(20, dtype=float), y, lag=2)
+
+
+class TestWorker:
+    """Inside stats.worker() the statistics run in one other process and
+    give what they give in this one."""
+
+    X = [float((i * i) % 13) for i in range(20)]
+    Y = [float((7 * i) % 11) for i in range(20)]
+
+    def test_computes_in_one_other_process_and_leaves_none(self):
+        with stats.worker():
+            pids = {stats._compute(os.getpid) for _ in range(3)}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert stats._compute(os.getpid) == os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_nested_block_leaves_the_outer_worker_open(self):
+        with stats.worker():
+            outer = stats._compute(os.getpid)
+            with stats.worker():
+                assert stats._compute(os.getpid) not in (outer, os.getpid())
+            assert stats._compute(os.getpid) == outer
+        assert multiprocessing.active_children() == []
+
+    def test_results_equal_in_process_results(self):
+        expected = (spearman(self.X, self.Y, 500, 4), granger_f(self.X, self.Y, lag=2))
+        with stats.worker():
+            assert (spearman(self.X, self.Y, 500, 4), granger_f(self.X, self.Y, lag=2)) == expected
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: spearman([1, 2, 3], [5, 5, 5]), DegenerateInputError, "constant series has no rank variance"),
+            (lambda: granger_f(range(10), range(10), lag=3), ValueError, "need at least 11 observations, got 10"),
+        ],
+    )
+    def test_errors_cross_back_unchanged(self, call, error, message):
+        with stats.worker(), pytest.raises(error, match=message):
+            call()
+
+    def test_block_that_raises_does_not_wait_for_a_running_task(self):
+        start = time.monotonic()
+        with pytest.raises(KeyError), stats.worker():
+            task = stats._pool.get().submit(time.sleep, 30)
+            while not task.running():  # handed to the worker: past cancelling
+                time.sleep(0.01)
+            raise KeyError("input error")
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_broken_worker_falls_back_in_process(self):
+        expected = spearman(self.X, self.Y, 500, 4)
+        with stats.worker():
+            os.kill(stats._compute(os.getpid), signal.SIGKILL)
+            assert spearman(self.X, self.Y, 500, 4) == expected
+            assert stats._compute(os.getpid) == os.getpid()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "owner, name", [(concurrent.futures, "ProcessPoolExecutor"), (multiprocessing.process.BaseProcess, "start")]
+    )
+    def test_pool_or_process_that_cannot_start_computes_in_process(self, monkeypatch, owner, name):
+        def cannot_start(*args, **kwargs):
+            raise BlockingIOError("no process")
+
+        expected = spearman(self.X, self.Y, 500, 4)
+        monkeypatch.setattr(owner, name, cannot_start)
+        with stats.worker():
+            assert stats._compute(os.getpid) == os.getpid()
+            assert spearman(self.X, self.Y, 500, 4) == expected
+        assert multiprocessing.active_children() == []
