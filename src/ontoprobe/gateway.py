@@ -22,6 +22,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -32,12 +33,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from json.encoder import encode_basestring
+from json.decoder import scanstring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConfigurationError, ParseError, TransportExhausted
-from .ontology import OntologyKind
+from .ontology import OntologyKind, _gc_paused
 from .prompts import RenderedPrompt
 
 API_KEY_ENV = "ONTOPROBE_API_KEY"
@@ -114,6 +116,7 @@ class ModelConfig:
         return config
 
 
+@_gc_paused
 def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError) -> dict:
     """The JSON object in `path`. An unreadable file raises ConfigurationError,
     invalid JSON or another JSON value `invalid`; the messages name `what`
@@ -156,8 +159,11 @@ class SyntheticProfile:
         for concept_id, c in self.popularity.items():
             if c < 0:
                 raise ConfigurationError(f"negative popularity for {concept_id}")
-        if self.temperature_sensitivity < 0:
-            raise ConfigurationError("temperature_sensitivity must be non-negative")
+        # 0 * inf is NaN: an infinite sensitivity would void recall even at temperature 0.
+        if not 0.0 <= self.temperature_sensitivity < math.inf:
+            raise ConfigurationError(
+                f"temperature_sensitivity must be finite and non-negative, got {self.temperature_sensitivity}"
+            )
 
     @functools.cached_property
     def effective_universe(self) -> frozenset[str]:
@@ -233,6 +239,39 @@ def _key_function(provider: Provider, model_name: str, identity: str):
     return key
 
 
+# The head of a row `ResponseCache.put` writes, up to the prompt's first
+# character, and the rest of the row after its `raw_text`.
+_PUT_HEAD = re.compile(r'\{"key_hash": "([0-9a-f]{64})", "prompt": "')
+_PUT_TAIL = re.compile(r', "timestamp": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?\}\Z')
+
+
+def _cached_answer(line: str) -> tuple[str, str]:
+    """The `key_hash` and `raw_text` of one cache row.
+
+    A row in the layout `put` writes is decoded in place: its two strings
+    by the JSON string scanner, every byte around them checked against
+    that layout. Any other row (an older layout with `config_digest`, a
+    hand-edited one) goes through json.loads. Raises KeyError, TypeError
+    or ValueError for a row that is no cache row, or whose key or answer
+    is not a string.
+    """
+    head = _PUT_HEAD.match(line)
+    if head is not None:
+        try:
+            _prompt, end = scanstring(line, head.end())
+            if line.startswith(', "raw_text": "', end):
+                raw_text, end = scanstring(line, end + 15)
+                if _PUT_TAIL.match(line, end):
+                    return head[1], raw_text
+        except ValueError:
+            pass
+    row = json.loads(line)
+    key_hash, raw_text = row["key_hash"], row["raw_text"]
+    if type(key_hash) is not str or type(raw_text) is not str:
+        raise ValueError("key_hash and raw_text must be strings")
+    return key_hash, raw_text
+
+
 class ResponseCache:
     """Append-only newline-delimited JSON store of raw responses.
 
@@ -263,9 +302,9 @@ class ResponseCache:
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
-                    self._entries[row["key_hash"]] = row["raw_text"]
-                except (KeyError, ValueError) as exc:
+                    key_hash, raw_text = _cached_answer(line)
+                    self._entries[key_hash] = raw_text
+                except (KeyError, TypeError, ValueError) as exc:
                     if idx == len(lines) - 1:
                         break
                     raise ParseError(f"response cache {self.path}: line {idx + 1} is corrupt: {exc}") from exc
@@ -482,6 +521,37 @@ def _delta_seconds(retry_after: str | None) -> float | None:
     return float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
 
 
+def _synthetic_inputs_json(seed, profile: SyntheticProfile) -> str:
+    """What `json.dumps({"seed": seed, "profile": profile.to_dict()},
+    sort_keys=True)` writes.
+
+    Each concept row is built from one template. That writes what json.dumps
+    does only for a str ID, a float recall (finite, being within [0,1]) and
+    an int popularity; a profile holding other types is dumped whole. The
+    few values outside the rows go through json.dumps.
+    """
+    curve = profile.memorization_curve
+    ids = sorted(curve)
+    popularity = [profile.popularity.get(cid, 0) for cid in ids]
+    if not (
+        set(map(type, ids)) <= {str}
+        and set(map(type, curve.values())) <= {float}
+        and set(map(type, popularity)) <= {int}
+    ):
+        return json.dumps({"seed": seed, "profile": profile.to_dict()}, sort_keys=True)
+    rows = ", ".join(
+        f'{{"id": {encode_basestring_ascii(cid)}, "popularity": {count!r}, "recall": {curve[cid]!r}}}'
+        for cid, count in zip(ids, popularity)
+    )
+    universe = "" if profile.universe is None else f', "universe": {json.dumps(sorted(profile.universe))}'
+    return (
+        f'{{"profile": {{"concepts": [{rows}], '
+        f'"hallucination_style": {json.dumps(profile.hallucination_style.value)}, '
+        f'"temperature_sensitivity": {json.dumps(profile.temperature_sensitivity, sort_keys=True)}{universe}}}, '
+        f'"seed": {json.dumps(seed, sort_keys=True)}}}'
+    )
+
+
 class ModelGateway:
     """Dispatches rendered prompts to the configured provider.
 
@@ -518,14 +588,16 @@ class ModelGateway:
                 if config.profile_path is None:
                     raise ConfigurationError("SYNTHETIC provider requires a profile or profile_path")
                 profile = SyntheticProfile.from_file(config.profile_path)
-            answer_inputs = {"seed": config.seed, "profile": profile.to_dict()}
+            answer_inputs = _synthetic_inputs_json(config.seed, profile)
         else:
-            answer_inputs = {"endpoint": config.endpoint, "max_new_tokens": config.max_new_tokens}
+            answer_inputs = json.dumps(
+                {"endpoint": config.endpoint, "max_new_tokens": config.max_new_tokens}, sort_keys=True
+            )
         self.profile = profile
         # What decides the answers besides the cache key's own provider,
         # model name, temperature, prompt and tag. Pacing and retry fields
         # are left out, so tuning them keeps the cache.
-        self.identity = hashlib.sha256(json.dumps(answer_inputs, sort_keys=True).encode("utf-8")).hexdigest()
+        self.identity = hashlib.sha256(answer_inputs.encode("utf-8")).hexdigest()
         self._cache_key = _key_function(config.provider, config.model_name, self.identity)
 
     def close(self) -> None:

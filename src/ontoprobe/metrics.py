@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .errors import ParseError
-from .ontology import Concept, Ontology, OntologyKind, normalize_label
+from .ontology import Concept, Ontology, OntologyKind, _gc_paused, normalize_label
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,20 @@ def write_scored_records(records: list[ProbeRecord]) -> str:
     )
 
 
+_scan_json = json.decoder.JSONDecoder().scan_once
+
+
+def _scan_line(line: str):
+    """What json.loads(line) returns when `line` is one JSON value with no
+    whitespace around it, read by the C scanner json.loads itself calls but
+    without its per-call wrapping; None for any other line."""
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        return None
+    return value if end == len(line) else None
+
+
 def _read_row(line: str, fields, **defaults) -> dict:
     """The JSON object on `line` over `defaults`, each of `fields` (name, types,
     their wording) holding exactly one of its types: a JSON boolean is no
@@ -246,6 +260,17 @@ _SCORED_FIELDS = (
 )
 
 
+# (keys, value types) of the rows `write_scored_records` writes.
+_SCORED_SHAPES = {
+    (
+        ("correct", "gold_id", "invented", "label", "predicted_id", "raw_text", "source"),
+        (bool, str, bool, str, predicted, str, str),
+    )
+    for predicted in (str, type(None))
+}
+
+
+@_gc_paused
 def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     """Parse a scored-run file, resolving each row against the ontology.
 
@@ -254,10 +279,14 @@ def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     """
     records = []
     for line_no, line in _ndjson_lines(text):
-        try:
-            row = _read_row(line, _SCORED_FIELDS, raw_text="")
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
+        row = _scan_line(line)
+        # One lookup checks the shape `write_scored_records` writes; any other
+        # row goes through the field-by-field check, which names its fault.
+        if type(row) is not dict or (tuple(row), tuple(map(type, row.values()))) not in _SCORED_SHAPES:
+            try:
+                row = _read_row(line, _SCORED_FIELDS, raw_text="")
+            except (KeyError, ValueError) as exc:
+                raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
         gold_id, source = row["gold_id"], row["source"]
         concept = ontology.id_index.get(gold_id)
         if concept is None:

@@ -11,8 +11,11 @@ file, which is what invention checks run against. A canonical CSV format
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -95,28 +98,79 @@ class Ontology:
     label_index: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        id_index: dict[str, Concept] = {}
-        labels: dict[str, set[str]] = {}
+        # Each invariant is checked over the whole collection at once; the
+        # concepts are walked only to name the first one at fault.
+        kind, concepts = self.kind, self.concepts
+        id_index = {concept.id: concept for concept in concepts}
+        if (
+            not all(concept.source is kind for concept in concepts)
+            or len(id_index) != len(concepts)
+            or not self.universe.issuperset(id_index)
+        ):
+            self._first_fault()
+        if kind is OntologyKind.WIKIDATA:
+            labels: dict[str, set[str]] = {}
+            for concept in concepts:
+                labels.setdefault(normalize_label(concept.label), set()).add(concept.id)
+            label_index = {l: frozenset(ids) for l, ids in labels.items()}
+        else:
+            label_index = {normalize_label(concept.label): frozenset((concept.id,)) for concept in concepts}
+            if len(label_index) != len(concepts):
+                counts = Counter(normalize_label(concept.label) for concept in concepts)
+                shared = sorted(l for l, n in counts.items() if n > 1)
+                raise ValueError(f"duplicate labels not permitted for {kind.value}: {shared[:5]}")
+        object.__setattr__(self, "id_index", id_index)
+        object.__setattr__(self, "label_index", label_index)
+
+    def _first_fault(self) -> None:
+        """Raise ValueError for the first concept, in order, whose source,
+        ID uniqueness or universe membership is wrong."""
+        seen: set[str] = set()
         for concept in self.concepts:
             if concept.source is not self.kind:
                 raise ValueError(f"concept {concept.id} has source {concept.source}, ontology is {self.kind}")
-            if concept.id in id_index:
+            if concept.id in seen:
                 raise ValueError(f"duplicate concept ID {concept.id}")
             if concept.id not in self.universe:
                 raise ValueError(f"concept ID {concept.id} missing from universe")
-            id_index[concept.id] = concept
-            labels.setdefault(normalize_label(concept.label), set()).add(concept.id)
-        if self.kind is not OntologyKind.WIKIDATA:
-            shared = sorted(l for l, ids in labels.items() if len(ids) > 1)
-            if shared:
-                raise ValueError(f"duplicate labels not permitted for {self.kind.value}: {shared[:5]}")
-        object.__setattr__(self, "id_index", id_index)
-        object.__setattr__(self, "label_index", {l: frozenset(ids) for l, ids in labels.items()})
+            seen.add(concept.id)
 
     def __len__(self) -> int:
         return len(self.concepts)
 
 
+def _gc_paused(reader):
+    """`reader` with the cyclic garbage collector paused while it runs.
+
+    A reader builds an object or two per row of its input and no reference
+    cycles, so the collections its allocations set off (a young one every
+    700 new objects, now and then a full one over every live object) walk
+    the rows built so far and free nothing. When it returns, every tracked
+    object goes straight to the oldest generation (a freeze, then a thaw),
+    so the young collections that follow do not walk the rows either; that
+    step is skipped while objects are frozen, which it would thaw. The
+    collector is the process's: a thread that switches it while a reader
+    runs may have its switch undone when the reader returns, or end the
+    reader's pause early.
+    """
+
+    @functools.wraps(reader)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return reader(*args, **kwargs)
+        gc.disable()
+        try:
+            return reader(*args, **kwargs)
+        finally:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def parse_obo(text: str, native_prefix: str) -> Ontology:
     """Parse an OBO flat file, keeping [Term] stanzas with the native prefix.
 
@@ -191,24 +245,28 @@ def _ontology(kind: OntologyKind, concepts: list[Concept], universe: set[str]) -
 def _csv_rows(text: str, expected_header: list[str], what: str):
     """Rows of a header-checked CSV as (row number, row), blank rows skipped.
 
-    Raises ParseError, prefixed with `what`, for a missing or wrong header
-    and for a row whose width differs from the header's.
+    Raises ParseError, prefixed with `what`, for a missing or wrong header,
+    for a row whose width differs from the header's and for a row the csv
+    module cannot read (a field over its size limit).
     """
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{what}: missing header row") from None
-    if [h.strip().lower() for h in header] != expected_header:
-        raise ParseError(f"{what}: expected header {','.join(expected_header)}, got {','.join(header)}")
-    for row_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(expected_header):
-            raise ParseError(f"{what}: row {row_no} has {len(row)} fields, expected {len(expected_header)}")
-        yield row_no, row
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{what}: missing header row")
+        if [h.strip().lower() for h in header] != expected_header:
+            raise ParseError(f"{what}: expected header {','.join(expected_header)}, got {','.join(header)}")
+        for row_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(expected_header):
+                raise ParseError(f"{what}: row {row_no} has {len(row)} fields, expected {len(expected_header)}")
+            yield row_no, row
+    except csv.Error as exc:
+        raise ParseError(f"{what}: line {reader.line_num}: {exc}") from None
 
 
+@_gc_paused
 def parse_icd10(text: str, max_code_chars: int = 4) -> Ontology:
     """Parse a `code,label` ICD-10 table.
 
@@ -235,6 +293,7 @@ def parse_icd10(text: str, max_code_chars: int = 4) -> Ontology:
     return _ontology(OntologyKind.ICD10, concepts, universe)
 
 
+@_gc_paused
 def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontology:
     """Parse a `qid,label,qrank` sample table.
 
@@ -296,6 +355,7 @@ def write_concept_table(ontology: Ontology) -> str:
     return buf.getvalue()
 
 
+@_gc_paused
 def read_concept_table(text: str) -> Ontology:
     """Parse the canonical concept table back into an Ontology."""
     kind: OntologyKind | None = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .metrics import ProbeRecord
-from .ontology import _csv_rows
+from .ontology import _csv_rows, _gc_paused
 
 OCCURRENCE_HEADER = ["source", "id", "occurrences"]
 
@@ -47,9 +47,6 @@ class BucketAssignment:
     membership: dict[str, int]
     occupancy: tuple[int, ...]
 
-    def bucket_of(self, concept_id: str) -> int | None:
-        return self.membership.get(concept_id)
-
 
 @dataclass(frozen=True)
 class BucketBias:
@@ -67,6 +64,7 @@ class BiasRatioReport:
     per_bucket: tuple[BucketBias, ...]
 
 
+@_gc_paused
 def read_occurrences(text: str) -> list[OccurrenceRecord]:
     """Parse a `source,id,occurrences` CSV."""
     records = []

@@ -630,8 +630,8 @@ def run_simulate(
     if max_exponent <= 0:
         raise ConfigurationError("--max-exponent must be positive")
     style = HallucinationStyle(hallucination_style.upper())
-    if temperature_sensitivity < 0:
-        raise ConfigurationError("--temperature-sensitivity must be non-negative")
+    if not 0 <= temperature_sensitivity < math.inf:
+        raise ConfigurationError("--temperature-sensitivity must be finite and non-negative")
 
     derived = {label: derive_seed(seed, label) for label in ("simulate-counts", "synthetic-model")}
     rng = random.Random(derived["simulate-counts"])

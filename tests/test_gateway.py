@@ -269,6 +269,81 @@ class TestResponseCache:
         assert len(again) == len(path.read_text(encoding="utf-8").splitlines()) == 8 * 150
         assert again.get("k7-149") == "answer 7 149 " + "x" * 29
 
+    @staticmethod
+    def _counted_load(path, monkeypatch) -> tuple[ResponseCache, list[str]]:
+        """The cache at `path`, and each line json.loads was called with while loading it."""
+        calls = []
+        real = json.loads
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return real(text, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gateway_module.json, "loads", counting)
+            cache = ResponseCache(path)
+        return cache, calls
+
+    def test_rows_written_by_put_load_without_json_loads(self, tmp_path, monkeypatch):
+        ontology = make_ontology(5)
+        path = tmp_path / "cache.ndjson"
+        cache = ResponseCache(path)
+        gateway = ModelGateway(make_config(), profile=make_profile(ontology, recall=0.5), cache=cache)
+        first = [gateway.complete(chat_prompt(c)) for c in ontology.concepts]
+        cache.close()
+        loaded, calls = self._counted_load(path, monkeypatch)
+        assert calls == []
+        second = ModelGateway(make_config(), profile=make_profile(ontology, recall=0.5), cache=loaded)
+        again = [second.complete(chat_prompt(c)) for c in ontology.concepts]
+        assert all(r.from_cache for r in again)
+        assert [r.raw_text for r in again] == [r.raw_text for r in first]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"key_hash": "%s", "config_digest": "%s", "prompt": "p", "raw_text": "GO:0000007", "timestamp": 1.5}',
+            '{"prompt": "p", "key_hash": "%s", "raw_text": "GO:0000007", "timestamp": 1.5}',
+            '{"key_hash": "%s", "prompt": "p", "timestamp": 1.5, "raw_text": "GO:0000007"}',
+            '{"key_hash": "%s", "prompt": "p", "raw_text": "GO:0000007", "timestamp": 1.5} ',
+            '{"key_hash": "%s", "prompt": "p", "raw_text": "ignored", "timestamp": 1.5, "raw_text": "GO:0000007"}',
+        ],
+    )
+    def test_other_row_layouts_take_json_loads(self, tmp_path, monkeypatch, row):
+        key = "ab" * 32
+        line = row % ((key, "cd" * 32) if "config_digest" in row else key)
+        path = tmp_path / "cache.ndjson"
+        path.write_text(line + "\n" + line.replace(key, "ef" * 32) + "\n", encoding="utf-8")
+        cache, calls = self._counted_load(path, monkeypatch)
+        assert len(calls) == 2
+        assert (len(cache), cache.get(key), cache.get("ef" * 32)) == (2, "GO:0000007", "GO:0000007")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"key_hash": "%s", "prompt": "p", "raw_text": "x", "timestamp": 1.0}x',
+            '{"key_hash": "%s", "prompt": "p", "raw_text": "x", "timestamp": 1.0',
+            '{"key_hash": "%s", "prompt": "p", "raw_text": "x", "timestamp": 1.}',
+            '{"key_hash": "%s", "prompt": "p", "raw_text": "x\\q", "timestamp": 1.0}',
+            '{"key_hash": "%s", "prompt": "p\x01", "raw_text": "x", "timestamp": 1.0}',
+            '{"key_hash": "%s", "prompt": "p"}',
+            '{"key_hash": "%s", "prompt": "p", "raw_texT": "x", "timestamp": 1.0}',
+            '{"key_hash": "%s", "prompt": "p", "raw_text": 5, "timestamp": 1.0}',
+            '{"key_hash": 7, "prompt": "p", "raw_text": "x", "timestamp": 1.0}',
+            "[1]",
+            '"%s"',
+        ],
+    )
+    def test_corrupt_row_is_an_error_mid_file_and_skipped_last(self, tmp_path, bad):
+        good = '{"key_hash": "%s", "prompt": "p", "raw_text": "GO:0000001", "timestamp": 1.0}' % ("ab" * 32)
+        line = bad % ("cd" * 32) if "%s" in bad else bad
+        path = tmp_path / "cache.ndjson"
+        path.write_text(f"{good}\n{line}\n{good}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"line 2 is corrupt: "):
+            ResponseCache(path)
+        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        cache = ResponseCache(path)
+        assert (len(cache), cache.get("ab" * 32), cache.get("cd" * 32)) == (1, "GO:0000001", None)
+
     def test_each_append_is_on_disk_before_close(self, tmp_path):
         path = tmp_path / "cache.ndjson"
         cache = ResponseCache(path)
@@ -815,3 +890,9 @@ class TestSyntheticProfileIO:
             SyntheticProfile.from_dict(
                 {"concepts": [{"id": "GO:0000001", "recall": 1.7}], "hallucination_style": "INVENTED"}
             )
+
+    @pytest.mark.parametrize("sensitivity", [-0.5, float("inf"), float("nan")])
+    def test_sensitivity_must_be_finite_and_non_negative(self, sensitivity):
+        # At temperature 0 an infinite one made p_eff NaN: recall 1.0 never answered gold.
+        with pytest.raises(ConfigurationError, match=r"^temperature_sensitivity must be finite and non-negative, got"):
+            SyntheticProfile({"GO:0000001": 1.0}, temperature_sensitivity=sensitivity)

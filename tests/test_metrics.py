@@ -329,6 +329,32 @@ class TestScoredRoundTrip:
         with pytest.raises(ParseError, match="line 1 is malformed: not a JSON object"):
             read_scored_records(line + "\n", make_ontology(3))
 
+    @pytest.mark.parametrize(
+        "relayout",
+        [
+            lambda row: " " + json.dumps(row) + "\t",
+            lambda row: json.dumps(row) + "\r",
+            lambda row: json.dumps(dict(reversed(list(row.items())))),
+            lambda row: json.dumps({**row, "note": 1}),
+            lambda row: json.dumps({**row, "label": None}),
+            lambda row: json.dumps(row, indent=None, separators=(",", ":")),
+        ],
+    )
+    def test_row_in_another_layout_reads_the_same(self, relayout):
+        ontology = make_ontology(3)
+        records = self._records(ontology)
+        rows = [json.loads(line) for line in write_scored_records(records).splitlines()]
+        assert read_scored_records("".join(relayout(row) + "\n" for row in rows), ontology) == records
+
+    def test_text_after_the_row_rejected(self):
+        ontology = make_ontology(3)
+        line = write_scored_records(self._records(ontology)).splitlines()[0] + " x"
+        with pytest.raises(ValueError) as reason:
+            json.loads(line)
+        with pytest.raises(ParseError) as excinfo:
+            read_scored_records(line + "\n", ontology)
+        assert str(excinfo.value) == f"scored run: line 1 is malformed: {reason.value}"
+
     def test_row_without_raw_text_reads_as_empty_answer(self):
         ontology = make_ontology(3)
         line = '{"correct": false, "gold_id": "GO:0000001", "invented": false, "predicted_id": null, "source": "GO"}'

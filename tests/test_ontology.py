@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import json
+
 import pytest
 
 from ontoprobe import (
@@ -19,6 +22,9 @@ from ontoprobe import (
     read_occurrences,
     write_concept_table,
 )
+from conftest import make_ontology
+from ontoprobe import OccurrenceRecord, ProbeRecord, read_scored_records, write_occurrences, write_scored_records
+from ontoprobe.gateway import _read_json
 from ontoprobe.prompts import load_translation_table
 
 
@@ -212,6 +218,26 @@ class TestCanonicalTable:
             ("GO,GO:0000001,a\nGO, GO:0000001 ,b", "concept table: row 3 duplicates id GO:0000001"),
             ("GO,GO:1,a", "concept table: row 2: concept ID 'GO:1' does not match the GO pattern"),
             ("", "concept table: no data rows"),
+            # Faults on rows 3 and 5: the earlier one is named, whatever either is.
+            (
+                "GO,GO:0000001,a\nGO,GO:0000001,b\nGO,GO:0000003,c\nMESH,D1,d",
+                "concept table: row 3 duplicates id GO:0000001",
+            ),
+            (
+                "GO,GO:0000001,a\nGO,GO:2,b\nGO,GO:0000003,c\nGO,GO:0000001,d",
+                "concept table: row 3: concept ID 'GO:2' does not match the GO pattern",
+            ),
+            ("GO,GO:0000001,a\nGO,,b\nGO,GO:0000003,c\nGO,GO:0000004", "concept table: row 3 has an empty id"),
+            (
+                "GO,GO:0000001,a\nUBERON,GO:0000002,b\nGO,GO:0000003,c\nGO,GO:0000001,d",
+                "concept table: row 3 mixes UBERON into a GO table",
+            ),
+            (
+                "GO,GO:0000001,a\nGO,GO:0000002\nGO,GO:0000003,c\nGO,GO:1,d",
+                "concept table: row 3 has 2 fields, expected 3",
+            ),
+            # Labels normalize alike only after the rows passed: Ontology's check.
+            ("GO,GO:0000001,A  b\nGO,GO:0000002,a B", "duplicate labels not permitted for GO: ['a b']"),
         ],
     )
     def test_row_checks_keep_their_order_and_messages(self, rows, message):
@@ -247,6 +273,74 @@ class TestOntologyInvariants:
         concept = Concept("GO:0000001", "a", OntologyKind.GO)
         with pytest.raises(ValueError, match="source"):
             Ontology(OntologyKind.UBERON, (concept,), frozenset({"GO:0000001"}))
+
+    @pytest.mark.parametrize(
+        "kind, rows, universe, message",
+        [
+            (
+                "UBERON",
+                [("GO:0000001", "a"), ("GO:0000002", "b")],
+                None,
+                "concept GO:0000001 has source OntologyKind.GO, ontology is OntologyKind.UBERON",
+            ),
+            (
+                "GO",
+                [("GO:0000001", "a"), ("GO:0000002", "b"), ("GO:0000001", "c")],
+                None,
+                "duplicate concept ID GO:0000001",
+            ),
+            (
+                "GO",
+                [("GO:0000001", "a"), ("GO:0000002", "b")],
+                {"GO:0000001"},
+                "concept ID GO:0000002 missing from universe",
+            ),
+            (
+                "GO",
+                [("GO:0000001", "Kidney  Development"), ("GO:0000002", "b"), ("GO:0000003", "kidney development")],
+                None,
+                "duplicate labels not permitted for GO: ['kidney development']",
+            ),
+            # Faults of several kinds: the first concept at fault is named.
+            (
+                "GO",
+                [("GO:0000001", "a"), ("GO:0000009", "b"), ("GO:0000001", "c"), ("GO:0000001", "a")],
+                {"GO:0000001"},
+                "concept ID GO:0000009 missing from universe",
+            ),
+            (
+                "GO",
+                [("GO:0000001", "a"), ("GO:0000001", "a"), ("GO:0000009", "b")],
+                {"GO:0000001"},
+                "duplicate concept ID GO:0000001",
+            ),
+        ],
+    )
+    def test_direct_construction_keeps_every_check(self, kind, rows, universe, message):
+        concepts = tuple(Concept(cid, label, OntologyKind.GO) for cid, label in rows)
+        universe = frozenset(universe if universe is not None else (cid for cid, _label in rows))
+        with pytest.raises(ValueError) as excinfo:
+            Ontology(OntologyKind(kind), concepts, universe)
+        assert str(excinfo.value) == message
+
+    def test_wikidata_labels_may_be_shared(self):
+        rows = [("Q1", "a"), ("Q2", " A "), ("Q3", "b")]
+        concepts = tuple(Concept(qid, label, OntologyKind.WIKIDATA) for qid, label in rows)
+        ontology = Ontology(OntologyKind.WIKIDATA, concepts, frozenset({"Q1", "Q2", "Q3", "Q4"}))
+        assert ontology.label_index == {"a": {"Q1", "Q2"}, "b": {"Q3"}}
+        assert ontology.id_index == {c.id: c for c in concepts}
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("GO:123", "short id", OntologyKind.GO), "concept ID 'GO:123' does not match the GO pattern"),
+            (("GO:0000001", " \t", OntologyKind.GO), "concept GO:0000001 has an empty label"),
+        ],
+    )
+    def test_concept_keeps_both_checks(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            Concept(*args)
+        assert str(excinfo.value) == message
 
 
 class TestCanonicalIcd10:
@@ -308,6 +402,13 @@ class TestSharedCsvReader:
             caller, f"{header}\n{row}\n{short}\n", f"^{caller}: row 3 has {width - 1} fields, expected {width}$"
         )
 
+    def test_unreadable_row_names_its_line(self, caller):
+        # A field over the csv module's size limit (131,072 characters) fails in the
+        # csv module itself, which raises csv.Error.
+        _parse, header, row, _error = CSV_CALLERS[caller]
+        huge = row.rsplit(",", 1)[0] + "," + "x" * 200_000
+        self._raises(caller, f"{header}\n{row}\n{huge}\n", f"^{caller}: line 3: field larger than field limit")
+
     def test_blank_rows_skipped(self, caller):
         parse, header, row, _error = CSV_CALLERS[caller]
         parsed = parse(f"{header}\n\n   \n{row}\n\n")
@@ -318,3 +419,87 @@ class TestSharedCsvReader:
         parse, header, row, _error = CSV_CALLERS[caller]
         bad = ",".join(["BOGUS", *row.split(",")[1:]]) if caller != "occurrence file" else "web,GO:0000001,many"
         self._raises(caller, f"{header}\n\n{bad}\n", f"^{caller}: row 3")
+
+
+# Every reader of a stage input that keeps an object per row, over 3,000
+# rows: enough allocations to set off young collections were the collector
+# running. (The response cache keeps only strings, which it never tracks.)
+ROWS = 3000
+
+
+def _reader_calls(tmp_path):
+    """Each reader as a call on inputs made beforehand."""
+    ontology = make_ontology(ROWS)
+    document = tmp_path / "document.json"
+    document.write_text(json.dumps({f"GO:{i:07d}": {"recall": 0.5} for i in range(ROWS)}))
+    table = write_concept_table(ontology)
+    occurrences = write_occurrences([OccurrenceRecord(c.id, "web", 1) for c in ontology.concepts])
+    scored = write_scored_records([ProbeRecord(c, None, False, False, "") for c in ontology.concepts])
+    obo = "".join(f"[Term]\nid: GO:{i:07d}\nname: term {i}\n\n" for i in range(1, ROWS + 1))
+    icd = "code,label\n" + "".join(f"{chr(65 + i // 100 % 26)}{i % 100:02d}.{i // 2600},d {i}\n" for i in range(ROWS))
+    wikidata = "qid,label,qrank\n" + "".join(f"Q{i},label {i},1\n" for i in range(1, ROWS + 1))
+    return {
+        "read_concept_table": lambda: read_concept_table(table),
+        "parse_obo": lambda: parse_obo(obo, "GO"),
+        "parse_icd10": lambda: parse_icd10(icd, max_code_chars=5),
+        "parse_wikidata_sample": lambda: parse_wikidata_sample(wikidata),
+        "read_occurrences": lambda: read_occurrences(occurrences),
+        "read_scored_records": lambda: read_scored_records(scored, ontology),
+        "_read_json": lambda: _read_json(document, "document"),
+    }
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        "read_concept_table",
+        "parse_obo",
+        "parse_icd10",
+        "parse_wikidata_sample",
+        "read_occurrences",
+        "read_scored_records",
+        "_read_json",
+    ],
+)
+def test_readers_pause_the_cyclic_collector(tmp_path, reader):
+    call = _reader_calls(tmp_path)[reader]
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        result = call()
+    finally:
+        gc.callbacks.remove(record)
+    assert len(result) >= ROWS
+    assert collections == []
+    assert gc.isenabled()
+
+
+def test_rows_read_go_to_the_oldest_generation_and_frozen_objects_stay(tmp_path):
+    ontology = _reader_calls(tmp_path)["read_concept_table"]()
+    assert gc.get_count()[0] < 700
+    oldest = gc.get_objects(generation=2)
+    assert any(o is ontology for o in oldest) and any(o is ontology.concepts[-1] for o in oldest)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        _reader_calls(tmp_path)["read_occurrences"]()
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_collector_pause_ends_on_error_and_keeps_a_caller_pause():
+    with pytest.raises(ParseError):
+        read_concept_table("source,id,label\nGO,GO:1,a\n")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        read_concept_table("source,id,label\nGO,GO:0000001,a\n")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

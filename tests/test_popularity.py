@@ -70,6 +70,26 @@ class TestOccurrenceIO:
         with pytest.raises(ParseError, match="row 2 has 2 fields"):
             read_occurrences(text)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("c,GO:1,1\nc,GO:1,2\nc,GO:3,3\nc,,4", "occurrence file: row 3 duplicates id GO:1"),
+            ("c,GO:1,1\nc,,2\nc,GO:3,3\nc,GO:1,4", "occurrence file: row 3 has an empty id"),
+            ("c,GO:1,1\nc,GO:2,many\nc,GO:3,3\nc,GO:1,4", "occurrence file: row 3 has non-integer count 'many'"),
+            ("c,GO:1,1\nc,GO:2,-2\nc,GO:3,3\nc,GO:4", "occurrence file: row 3: negative occurrence count for GO:2"),
+            ("c,GO:1,1\nc,GO:2\nc,GO:3,3\nc,GO:4,-4", "occurrence file: row 3 has 2 fields, expected 3"),
+        ],
+    )
+    def test_first_faulty_row_is_named(self, rows, message):
+        # Faults on rows 3 and 5: the earlier one is named, whatever either is.
+        with pytest.raises(ParseError) as excinfo:
+            read_occurrences(f"source,id,occurrences\n{rows}\n")
+        assert str(excinfo.value) == message
+
+    def test_fields_are_stripped_and_counts_parsed(self):
+        records = read_occurrences("source,id,occurrences\n web , GO:0000001 , 12 \nweb,GO:0000002,+3\n")
+        assert records == [occ(1, 12, "web"), occ(2, 3, "web")]
+
 
 class TestBucketize:
     def test_counts_one_to_ten_in_five_buckets(self):
@@ -77,10 +97,10 @@ class TestBucketize:
         assignment = bucketize(records, n_buckets=5)
         assert assignment.boundaries == (2, 4, 6, 8)
         assert assignment.occupancy == (2, 2, 2, 2, 2)
-        assert assignment.bucket_of("GO:0000001") == 1
-        assert assignment.bucket_of("GO:0000005") == 3
-        assert assignment.bucket_of("GO:0000010") == 5
-        assert assignment.bucket_of("GO:9999999") is None
+        assert assignment.membership.get("GO:0000001") == 1
+        assert assignment.membership.get("GO:0000005") == 3
+        assert assignment.membership.get("GO:0000010") == 5
+        assert assignment.membership.get("GO:9999999") is None
 
     def test_all_equal_counts_share_bucket_one(self):
         records = [occ(i, 7) for i in range(1, 9)]

@@ -14,6 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
@@ -21,6 +22,7 @@ from scipy import stats as scipy_stats
 from ontoprobe import (
     Concept,
     DegenerateInputError,
+    HallucinationStyle,
     InvarianceRecord,
     Language,
     ModelConfig,
@@ -28,12 +30,14 @@ from ontoprobe import (
     OccurrenceRecord,
     Ontology,
     OntologyKind,
+    ParseError,
     ProbeRecord,
     PromptStyle,
     Provider,
     RenderedPrompt,
     ResponseCache,
     Strategy,
+    SyntheticProfile,
     bucketize,
     builtin_templates,
     cache_key,
@@ -55,6 +59,7 @@ from ontoprobe import (
     write_scored_records,
 )
 from ontoprobe import gateway as gateway_module
+from ontoprobe import metrics as metrics_module
 from ontoprobe.ontology import ID_PATTERNS
 from ontoprobe.stats import _average_ranks
 
@@ -385,6 +390,168 @@ def test_cache_line_equals_reference(rows, timestamp):
         assert path.read_text(encoding="utf-8") == expected
         again = ResponseCache(path)
         assert [again.get(r.request_id) for r in responses] == stored
+
+
+CACHE_TIMESTAMPS = st.one_of(
+    st.floats(min_value=0.0, max_value=4e9), st.sampled_from([1700000000.123456, 0.1, 1e-7, 5e-324, 1e22])
+)
+
+
+@BOUNDED
+@given(
+    rows=st.lists(st.tuples(st.binary(min_size=1, max_size=4), AWKWARD_TEXT, AWKWARD_TEXT), min_size=1, max_size=5),
+    timestamp=CACHE_TIMESTAMPS,
+)
+@example(rows=[(b"k", 'a"\\\x00\x1f\x7f\u2028\x85\U0001f9ec\ud800', '\udfff"\\\n\u2029\U0010ffff')], timestamp=1e-7)
+def test_put_rows_load_as_json_loads_reads_them(rows, timestamp):
+    """Rows `put` wrote load without json.loads, to what json.loads makes of
+    each: answers reach `put` as the gateway passes them, a lone surrogate
+    as U+FFFD; the prompt may hold one, which `put` replaces."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gateway_module.time, "time", return_value=timestamp):
+        path = Path(tmp) / "cache.ndjson"
+        cache = ResponseCache(path)
+        for key, prompt, raw in rows:
+            cache.put(hashlib.sha256(key).hexdigest(), prompt, replace_lone_surrogates(raw))
+        cache.close()
+        expected = {}
+        for line in path.read_text(encoding="utf-8").split("\n")[:-1]:
+            row = json.loads(line)
+            expected[row["key_hash"]] = row["raw_text"]
+        with mock.patch.object(gateway_module.json, "loads", side_effect=AssertionError("json.loads called")):
+            loaded = ResponseCache(path)
+    assert len(loaded) == len(expected)
+    assert {key: loaded.get(key) for key in expected} == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(prompts=st.lists(ENCODABLE_TEXT, min_size=2, max_size=5, unique=True), data=st.data())
+@example(prompts=["p\U0001f9ec", "q\u2028", "r"], data=None)
+def test_cache_cut_in_its_last_two_lines_resumes_to_the_same_answers(prompts, data):
+    """A cache cut at any byte of its last two lines (a kill mid-append, or
+    a file truncated by hand) loads; lines kept whole still answer, each cut
+    one is asked again, and the resumed file holds every key once."""
+
+    def transport(url, payload, headers):
+        return 200, {"choices": [{"message": {"content": "re: " + payload["messages"][0]["content"][::-1]}}]}
+
+    config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+    requests = [RenderedPrompt(TEMPLATE_KEY, "Q1", prompt) for prompt in prompts]
+
+    def answer_all(path):
+        cache = ResponseCache(path)
+        try:
+            gateway = ModelGateway(config, cache=cache, transport=transport)
+            return [gateway.complete(request) for request in requests]
+        finally:
+            cache.close()
+
+    # A fixed clock keeps the rows, and so the range of cuts, the same when
+    # hypothesis replays an example.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(gateway_module.time, "time", return_value=1.5):
+        path = Path(tmp) / "cache.ndjson"
+        whole = answer_all(path)
+        written = path.read_bytes()
+        lines = written.split(b"\n")[:-1]
+        start = len(written) - len(lines[-1]) - len(lines[-2]) - 2
+        cut = start + 1 if data is None else data.draw(st.integers(min_value=start, max_value=len(written) - 1))
+        path.write_bytes(written[:cut])
+        resumed = answer_all(path)
+        keys = [json.loads(line)["key_hash"] for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
+    kept = written[:cut].count(b"\n")
+    assert [r.raw_text for r in resumed] == [r.raw_text for r in whole]
+    assert [r.from_cache for r in resumed] == [i < kept for i in range(len(requests))]
+    assert sorted(keys) == sorted(r.request_id for r in whole)
+
+
+PROFILE_IDS = st.one_of(AWKWARD_TEXT, st.from_regex(r"GO:[0-9]{7}", fullmatch=True))
+
+
+@st.composite
+def synthetic_profiles(draw):
+    """Profiles as `SyntheticProfile` accepts them. Besides the float recall and
+    int popularity `from_dict` makes, a few values of other JSON types
+    (an int or boolean recall, a float or boolean popularity) may appear."""
+    ids = draw(st.lists(PROFILE_IDS, max_size=6, unique=True))
+    recall = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0, 1, True]))
+    counts = st.one_of(st.integers(min_value=0, max_value=2**70), st.sampled_from([2.5, False]))
+    popular = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    universe = draw(st.one_of(st.none(), st.frozensets(PROFILE_IDS, max_size=3).map(lambda u: u | set(ids))))
+    return SyntheticProfile(
+        memorization_curve={cid: draw(recall) for cid in ids},
+        hallucination_style=draw(st.sampled_from(list(HallucinationStyle))),
+        popularity={cid: draw(counts) for cid in popular},
+        temperature_sensitivity=draw(st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([0, 2]))),
+        universe=universe,
+    )
+
+
+@BOUNDED
+@given(profile=synthetic_profiles(), seed=st.one_of(st.integers(), AWKWARD_TEXT))
+@example(
+    profile=SyntheticProfile({"GO:0000002": 0.25, "GO:0000001": 1.0}, popularity={"GO:0000001": 7}, universe=None),
+    seed=3,
+)
+@example(
+    profile=SyntheticProfile(
+        {"Q\u00e9\ud800": 0.5}, "POPULAR_ID", {"Q\u00e9\ud800": 2}, 1e300, frozenset({"x"})
+    ),
+    seed=-1,
+)
+def test_synthetic_identity_equals_reference(profile, seed):
+    """The identity as first defined: sha256 of one json.dumps of seed and profile."""
+    expected = json.dumps({"seed": seed, "profile": profile.to_dict()}, sort_keys=True)
+    gateway = ModelGateway(ModelConfig(Provider.SYNTHETIC, "m", seed=seed), profile=profile)
+    assert gateway.identity == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+
+# Every field of a scored row with the types the reader accepts; `label` is
+# not read from the row (the ontology's label is), so any type passes.
+SCORED_FIELD_TYPES = {name: (types, wording) for name, types, wording in metrics_module._SCORED_FIELDS}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    AWKWARD_TEXT,
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+SCORED_ONTOLOGY = Ontology(
+    OntologyKind.GO,
+    (Concept("GO:0000001", "a", OntologyKind.GO), Concept("GO:1234567", "b", OntologyKind.GO)),
+    frozenset({"GO:0000001", "GO:1234567"}),
+)
+
+
+@BOUNDED
+@given(
+    records=st.lists(probe_records(), min_size=1, max_size=4),
+    name=st.sampled_from(sorted([*SCORED_FIELD_TYPES, "label"])),
+    data=st.data(),
+)
+def test_scored_row_with_one_field_of_another_type(records, name, data):
+    """The per-field check's message names the field; a foreign `label` reads."""
+    lines = write_scored_records(records).split("\n")[:-1]
+    index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    types, wording = SCORED_FIELD_TYPES.get(name, ((), ""))
+    value = data.draw(JSON_VALUES.filter(lambda v: type(v) not in types))
+    row = json.loads(lines[index])
+    row[name] = value
+    lines[index] = json.dumps(row, sort_keys=True, ensure_ascii=False)
+    text = "\n".join(lines) + "\n"
+    if name == "label":
+        concepts = SCORED_ONTOLOGY.id_index
+        expected = [
+            ProbeRecord(concepts[r.concept.id], r.predicted, r.correct, r.invented, r.raw_text) for r in records
+        ]
+        assert read_scored_records(text, SCORED_ONTOLOGY) == expected
+        return
+    with pytest.raises(ParseError) as excinfo:
+        read_scored_records(text, SCORED_ONTOLOGY)
+    read_back = json.loads(lines[index])[name]
+    assert str(excinfo.value) == (
+        f"scored run: line {index + 1} is malformed: {name} must be {wording}, got {read_back!r}"
+    )
 
 
 def reference_normalize_id(kind: OntologyKind, raw_match: str) -> str | None:

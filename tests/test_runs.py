@@ -862,6 +862,10 @@ class TestSimulate:
             run_simulate(tmp_path / "x", max_exponent=0.0)
         with pytest.raises(ValueError):
             run_simulate(tmp_path / "x", hallucination_style="WILD")
+        for sensitivity in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="^--temperature-sensitivity must be finite and non-negative$"):
+                run_simulate(tmp_path / "x", temperature_sensitivity=sensitivity)
+        assert not (tmp_path / "x").exists()
 
 
 SUMMARY_METRICS = [
