@@ -9,10 +9,11 @@ downstream scoring counts as wrong.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .ontology import OntologyKind, canonical_icd10
+from .ontology import OntologyKind, _checked_make, canonical_icd10
 
 # Default patterns. Case-insensitive on purpose: models answer with
 # "go:0001822" and "Go 1822" variants routinely.
@@ -31,15 +32,28 @@ _NORMALIZER_NOTES: dict[OntologyKind, str] = {
 }
 
 
-@dataclass(frozen=True)
-class ExtractionRule:
+# Rule patterns, each compiled once; rules are few, so a small cache holds them.
+_compile = functools.lru_cache(maxsize=64)(re.compile)
+
+
+class _ExtractionRuleFields(NamedTuple):
     ontology_kind: OntologyKind
     pattern: str
     normalizer: str
-    compiled: re.Pattern = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "compiled", re.compile(self.pattern))
+
+class ExtractionRule(_ExtractionRuleFields):
+    __slots__ = ()
+
+    def __new__(cls, ontology_kind: OntologyKind, pattern: str, normalizer: str):
+        _compile(pattern)  # a malformed pattern raises re.error here
+        return tuple.__new__(cls, (ontology_kind, pattern, normalizer))
+
+    _make = classmethod(_checked_make)
+
+    @property
+    def compiled(self) -> re.Pattern:
+        return _compile(self.pattern)
 
 
 def default_rules() -> dict[OntologyKind, ExtractionRule]:

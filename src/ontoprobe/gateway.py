@@ -31,15 +31,15 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from json.decoder import scanstring
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConfigurationError, ParseError, TransportExhausted
-from .ontology import OntologyKind, _gc_paused
+from .ontology import OntologyKind, _checked_make, _gc_paused
 from .prompts import RenderedPrompt
 
 API_KEY_ENV = "ONTOPROBE_API_KEY"
@@ -64,8 +64,7 @@ class TransportFailure(Exception):
     """A single transport attempt failed; the gateway retries these."""
 
 
-@dataclass
-class ModelConfig:
+class _ModelConfigFields(NamedTuple):
     provider: Provider
     model_name: str
     temperature: float = 0.0
@@ -78,26 +77,59 @@ class ModelConfig:
     max_attempts: int = 5
     backoff_base: float = 0.5
 
-    def __post_init__(self) -> None:
-        if isinstance(self.provider, str):
-            self.provider = Provider(self.provider.upper())
-        if not (0.0 <= self.temperature <= 1.0):
-            raise ConfigurationError(f"temperature must be within [0,1], got {self.temperature}")
-        if self.max_new_tokens < 1:
+
+# The JSON type each field after `provider` must hold, and its wording. A
+# JSON boolean is no number here, though Python's bool is an int.
+_CONFIG_TYPES = (
+    ("model_name", (str,), "a string"),
+    ("temperature", (int, float), "a number"),
+    ("max_new_tokens", (int,), "an integer"),
+    ("endpoint", (str, type(None)), "a string or null"),
+    ("seed", (int,), "an integer"),
+    ("profile_path", (str, os.PathLike, type(None)), "a string or null"),
+    ("max_in_flight", (int,), "an integer"),
+    ("requests_per_minute", (int, float, type(None)), "a number or null"),
+    ("max_attempts", (int,), "an integer"),
+    ("backoff_base", (int, float), "a number"),
+)
+
+
+class ModelConfig(_ModelConfigFields):
+    """Which model answers and how it is paced. `provider` may be given by
+    name, in any case; it is stored as a Provider."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if not isinstance(config.provider, str):
+            raise ConfigurationError(f"provider must be a string, got {config.provider!r}")
+        for name, types, expected in _CONFIG_TYPES:
+            value = getattr(config, name)
+            if type(value) is bool or not isinstance(value, types):
+                raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
+        provider = Provider(config.provider.upper())
+        if not (0.0 <= config.temperature <= 1.0):
+            raise ConfigurationError(f"temperature must be within [0,1], got {config.temperature}")
+        if config.max_new_tokens < 1:
             raise ConfigurationError("max_new_tokens must be at least 1")
-        if self.provider in (Provider.CHAT_HTTP, Provider.COMPLETION_HTTP) and not self.endpoint:
-            raise ConfigurationError(f"{self.provider.value} requires an endpoint")
-        if self.max_in_flight < 1:
+        if provider in (Provider.CHAT_HTTP, Provider.COMPLETION_HTTP) and not config.endpoint:
+            raise ConfigurationError(f"{provider.value} requires an endpoint")
+        if config.max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be at least 1")
-        if self.max_attempts < 1:
+        if config.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
-        if self.requests_per_minute is not None and self.requests_per_minute <= 0:
+        if config.requests_per_minute is not None and not config.requests_per_minute > 0:
             raise ConfigurationError("requests_per_minute must be positive")
+        if not 0.0 <= config.backoff_base < math.inf:
+            raise ConfigurationError(f"backoff_base must be finite and non-negative, got {config.backoff_base}")
+        return tuple.__new__(cls, (provider, *config[1:]))
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(cls._fields)
         if unknown:
             raise ConfigurationError(f"unknown model config fields: {sorted(unknown)}")
         if "provider" not in data or "model_name" not in data:
@@ -112,7 +144,7 @@ class ModelConfig:
         path = Path(path)
         config = cls.from_dict(_read_json(path, "model config"))
         if config.profile_path is not None and not os.path.isabs(config.profile_path):
-            config.profile_path = str((path.parent / config.profile_path).resolve())
+            config = config._replace(profile_path=str((path.parent / config.profile_path).resolve()))
         return config
 
 
@@ -132,38 +164,46 @@ def _read_json(path: str | Path, what: str, invalid: type[Exception] = Configura
     return data
 
 
-@dataclass(frozen=True)
-class ModelResponse:
+class ModelResponse(NamedTuple):
     request_id: str
     raw_text: str
     latency: float
     from_cache: bool
 
 
-@dataclass
-class SyntheticProfile:
-    """Deterministic stand-in model with a planted memorization curve."""
-
+class _SyntheticProfileFields(NamedTuple):
     memorization_curve: dict[str, float]
     hallucination_style: HallucinationStyle = HallucinationStyle.INVENTED
-    popularity: dict[str, int] = field(default_factory=dict)
+    popularity: dict[str, int] | None = None  # None: no counts, stored as {}
     temperature_sensitivity: float = 0.0
     universe: frozenset[str] | None = None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.hallucination_style, str):
-            self.hallucination_style = HallucinationStyle(self.hallucination_style.upper())
-        for concept_id, p in self.memorization_curve.items():
+
+class SyntheticProfile(_SyntheticProfileFields):
+    """Deterministic stand-in model with a planted memorization curve.
+
+    `hallucination_style` may be given by name, in any case. Unlike the
+    other records it keeps an instance dictionary, for the tables it
+    derives on first use; its fields are read-only all the same.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        curve, style, popularity, sensitivity, universe = super().__new__(cls, *args, **kwargs)
+        if isinstance(style, str):
+            style = HallucinationStyle(style.upper())
+        popularity = {} if popularity is None else popularity
+        for concept_id, p in curve.items():
             if not (0.0 <= p <= 1.0):
                 raise ConfigurationError(f"recall probability for {concept_id} outside [0,1]: {p}")
-        for concept_id, c in self.popularity.items():
+        for concept_id, c in popularity.items():
             if c < 0:
                 raise ConfigurationError(f"negative popularity for {concept_id}")
         # 0 * inf is NaN: an infinite sensitivity would void recall even at temperature 0.
-        if not 0.0 <= self.temperature_sensitivity < math.inf:
-            raise ConfigurationError(
-                f"temperature_sensitivity must be finite and non-negative, got {self.temperature_sensitivity}"
-            )
+        if not 0.0 <= sensitivity < math.inf:
+            raise ConfigurationError(f"temperature_sensitivity must be finite and non-negative, got {sensitivity}")
+        return tuple.__new__(cls, (curve, style, popularity, sensitivity, universe))
+
+    _make = classmethod(_checked_make)
 
     @functools.cached_property
     def effective_universe(self) -> frozenset[str]:
@@ -558,9 +598,11 @@ class ModelGateway:
     Responses are served from the cache when the same request was made
     before by the same model (same identity), with the same repetition
     tag. HTTP errors are retried within the attempt budget, after the
-    delta-seconds of a Retry-After header or else an exponential backoff;
-    after that a request surfaces as TransportExhausted, which batch
-    completion records as a missing response rather than aborting the run.
+    delta-seconds of a Retry-After header or else an exponential backoff
+    with full jitter: the n-th retry waits `random_fn()` (uniform in [0, 1)
+    by default) times backoff_base * 2**(n-1). A request that exhausts the
+    budget surfaces as TransportExhausted, which batch completion records
+    as a missing response rather than aborting the run.
     HTTP connections are kept alive until close().
     """
 
@@ -572,6 +614,7 @@ class ModelGateway:
         transport=None,
         time_fn=time.monotonic,
         sleep_fn=time.sleep,
+        random_fn=random.random,
     ):
         self.config = config
         self.cache = cache
@@ -581,6 +624,7 @@ class ModelGateway:
         self._transport = transport or functools.partial(_requests_transport, self._connections)
         self._time_fn = time_fn
         self._sleep_fn = sleep_fn
+        self._random_fn = random_fn
         self._rate_lock = threading.Lock()
         self._stamps: deque[float] = deque()
         if config.provider is Provider.SYNTHETIC:
@@ -701,7 +745,11 @@ class ModelGateway:
         retry_after = None
         for attempt in range(self.config.max_attempts):
             if attempt > 0:
-                wait = self.config.backoff_base * 2 ** (attempt - 1) if retry_after is None else retry_after
+                wait = retry_after
+                if wait is None:
+                    # Full jitter (M. Brooker, "Exponential Backoff and Jitter", 2015):
+                    # workers that fail together do not all retry together.
+                    wait = self._random_fn() * self.config.backoff_base * 2 ** (attempt - 1)
                 if wait > 0:
                     self._sleep_fn(wait)
             self._throttle()

@@ -12,8 +12,8 @@ inflate the count. PI = 1 - (U-1)/(M-1); AvPI is its mean per bucket.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParseError
 from .extraction import completion_cue, default_rules, extract_id
@@ -33,8 +33,7 @@ class Strategy(str, Enum):
     PI3 = "PI3"
 
 
-@dataclass(frozen=True)
-class InvarianceRecord:
+class InvarianceRecord(NamedTuple):
     concept: Concept
     strategy: Strategy
     m: int
@@ -43,8 +42,7 @@ class InvarianceRecord:
     pi: float
 
 
-@dataclass(frozen=True)
-class BucketInvariance:
+class BucketInvariance(NamedTuple):
     bucket: int
     strategy: Strategy
     avpi: float

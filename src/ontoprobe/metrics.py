@@ -14,40 +14,44 @@ from __future__ import annotations
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from .errors import ParseError
-from .ontology import Concept, Ontology, OntologyKind, _gc_paused, normalize_label
+from .ontology import Concept, Ontology, OntologyKind, _checked_make, _gc_paused, normalize_label
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One scored probe outcome."""
-
+class _ProbeRecordFields(NamedTuple):
     concept: Concept
     predicted: str | None
     correct: bool
     invented: bool
     raw_text: str = ""
 
-    def __post_init__(self) -> None:
-        if self.correct and self.predicted is None:
+
+class ProbeRecord(_ProbeRecordFields):
+    """One scored probe outcome."""
+
+    __slots__ = ()
+
+    def __new__(cls, concept: Concept, predicted: str | None, correct: bool, invented: bool, raw_text: str = ""):
+        if correct and predicted is None:
             raise ValueError("correct record without a prediction")
-        if self.invented and (self.predicted is None or self.correct):
+        if invented and (predicted is None or correct):
             raise ValueError("invented implies a present, incorrect prediction")
+        return tuple.__new__(cls, (concept, predicted, correct, invented, raw_text))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class ErrorSimilarity:
+class ErrorSimilarity(NamedTuple):
     mean_levenshtein: float | None
     mean_jaccard: float | None
     n_levenshtein: int
     n_jaccard: int
 
 
-@dataclass(frozen=True)
-class HallucinationStats:
+class HallucinationStats(NamedTuple):
     unique_predicted: int
     pct_unique_invented: float | None
     pct_errors_from_invented: float | None

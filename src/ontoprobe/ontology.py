@@ -16,8 +16,8 @@ import gc
 import io
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -66,46 +66,56 @@ def canonical_icd10(code: str) -> str | None:
     return head if m.group(3) is None else f"{head}.{m.group(3)}"
 
 
-@dataclass(frozen=True)
-class Concept:
-    """One ID-label pair from a single resource."""
+def _checked_make(cls, fields):
+    """A checked record's `_make`, and so its `_replace`: through the checks
+    of its constructor, which `NamedTuple._make` skips."""
+    return cls(*fields)
 
+
+class _ConceptFields(NamedTuple):
     id: str
     label: str
     source: OntologyKind
 
-    def __post_init__(self) -> None:
-        if ID_PATTERNS[self.source].match(self.id) is None:
-            raise ValueError(f"concept ID {self.id!r} does not match the {self.source.value} pattern")
-        if not self.label.strip():
-            raise ValueError(f"concept {self.id} has an empty label")
+
+class Concept(_ConceptFields):
+    """One ID-label pair from a single resource."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, label: str, source: OntologyKind):
+        if ID_PATTERNS[source].match(id) is None:
+            raise ValueError(f"concept ID {id!r} does not match the {source.value} pattern")
+        if not label.strip():
+            raise ValueError(f"concept {id} has an empty label")
+        return tuple.__new__(cls, (id, label, source))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
 class Ontology:
     """Immutable indexed collection of the concepts of one resource.
 
     `universe` holds every ID present in the original source file,
     including entries the inclusion filters dropped (foreign prefixes,
     obsolete terms, over-length ICD codes). A predicted ID outside the
-    universe is an invented one.
+    universe is an invented one. Two ontologies are equal when their kind,
+    concepts and universe are; the indexes follow from those.
     """
 
-    kind: OntologyKind
-    concepts: tuple[Concept, ...]
-    universe: frozenset[str]
-    id_index: dict[str, Concept] = field(init=False, repr=False, compare=False)
-    label_index: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "concepts", "universe", "id_index", "label_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: OntologyKind, concepts: tuple[Concept, ...], universe: frozenset[str]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "universe", universe)
         # Each invariant is checked over the whole collection at once; the
         # concepts are walked only to name the first one at fault.
-        kind, concepts = self.kind, self.concepts
         id_index = {concept.id: concept for concept in concepts}
         if (
             not all(concept.source is kind for concept in concepts)
             or len(id_index) != len(concepts)
-            or not self.universe.issuperset(id_index)
+            or not universe.issuperset(id_index)
         ):
             self._first_fault()
         if kind is OntologyKind.WIKIDATA:
@@ -134,6 +144,26 @@ class Ontology:
             if concept.id not in self.universe:
                 raise ValueError(f"concept ID {concept.id} missing from universe")
             seen.add(concept.id)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Ontology is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Ontology is immutable")
+
+    def __reduce__(self):
+        return Ontology, (self.kind, self.concepts, self.universe)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Ontology:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"Ontology(kind={self.kind!r}, concepts={self.concepts!r}, universe={self.universe!r})"
 
     def __len__(self) -> int:
         return len(self.concepts)

@@ -12,28 +12,33 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .metrics import ProbeRecord
-from .ontology import _csv_rows, _gc_paused
+from .ontology import _checked_make, _csv_rows, _gc_paused
 
 OCCURRENCE_HEADER = ["source", "id", "occurrences"]
 
 
-@dataclass(frozen=True)
-class OccurrenceRecord:
+class _OccurrenceRecordFields(NamedTuple):
     concept_id: str
     source_tag: str
     count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"negative occurrence count for {self.concept_id}")
+
+class OccurrenceRecord(_OccurrenceRecordFields):
+    __slots__ = ()
+
+    def __new__(cls, concept_id: str, source_tag: str, count: int):
+        if count < 0:
+            raise ValueError(f"negative occurrence count for {concept_id}")
+        return tuple.__new__(cls, (concept_id, source_tag, count))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class BucketAssignment:
+class BucketAssignment(NamedTuple):
     """Percentile-bucket membership for one occurrence source.
 
     Buckets are 1-indexed; bucket 1 holds the least popular concepts.
@@ -48,16 +53,14 @@ class BucketAssignment:
     occupancy: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BucketBias:
+class BucketBias(NamedTuple):
     bucket: int
     n_top: int
     bucket_size: int
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class BiasRatioReport:
+class BiasRatioReport(NamedTuple):
     k: int
     n_concepts: int
     unassigned: int

@@ -10,12 +10,12 @@ with the untranslated label.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ParseError
-from .ontology import Concept, OntologyKind, _csv_rows
+from .ontology import Concept, OntologyKind, _checked_make, _csv_rows
 
 PLACEHOLDER = "{l}"
 
@@ -33,24 +33,30 @@ class Language(str, Enum):
     ES = "ES"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class _PromptTemplateFields(NamedTuple):
     ontology_kind: OntologyKind
     style: PromptStyle
     language: Language
     text: str
 
-    def __post_init__(self) -> None:
-        if self.text.count(PLACEHOLDER) != 1:
-            raise ValueError(f"template must contain {PLACEHOLDER} exactly once: {self.text!r}")
+
+class PromptTemplate(_PromptTemplateFields):
+    __slots__ = ()
+
+    def __new__(cls, ontology_kind: OntologyKind, style: PromptStyle, language: Language, text: str):
+        if text.count(PLACEHOLDER) != 1:
+            raise ValueError(f"template must contain {PLACEHOLDER} exactly once: {text!r}")
+        return tuple.__new__(cls, (ontology_kind, style, language, text))
+
+    _make = classmethod(_checked_make)
 
     @property
     def key(self) -> tuple[OntologyKind, PromptStyle, Language]:
-        return (self.ontology_kind, self.style, self.language)
+        """(ontology_kind, style, language): the first three fields."""
+        return self[:3]
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     template_key: tuple[OntologyKind, PromptStyle, Language]
     concept_id: str
     text: str

@@ -21,8 +21,8 @@ import random
 import time
 from collections import Counter
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import invariance as inv
 from .errors import ConfigurationError, DegenerateInputError, ParseError
@@ -109,28 +109,28 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     run_id: str
     command: str
     timestamp: str
-    inputs: dict = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
-    seed: int | None = None
-    model: dict | None = None
-    ontology: dict | None = None
-    template_keys: list[str] = field(default_factory=list)
-    extraction_rules: dict[str, str] = field(default_factory=dict)
-    derived_seeds: dict[str, int] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
+    inputs: dict
+    parameters: dict
+    seed: int | None
+    model: dict | None
+    ontology: dict | None
+    template_keys: list[str]
+    extraction_rules: dict[str, str]
+    derived_seeds: dict[str, int]
+    counts: dict[str, int]
+    outputs: dict[str, str]
 
 
 def _write_json(path: str | Path, data) -> None:
     atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _finish_run(out_dir: Path, command: str, inputs: dict, parameters: dict, seed=None, gateway=None, **fields):
+def _finish_run(out_dir: Path, command: str, inputs: dict, parameters: dict, seed=None, gateway=None, ontology=None,
+                template_keys=(), extraction_rules=(), derived_seeds=(), counts=(), outputs=()):
     """Stamp, save and return the run's manifest. `inputs` (each a path, a list
     of paths or None) and `parameters` are keyed by run_* keyword. The run id
     hashes the command, the sha256 of each input, the parameters, the seed and
@@ -149,8 +149,11 @@ def _finish_run(out_dir: Path, command: str, inputs: dict, parameters: dict, see
     material = json.dumps([command, digests, parameters, seed, model], sort_keys=True)
     run_id = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    manifest = RunManifest(run_id, command, stamp, recorded, parameters, seed, model, **fields)
-    _write_json(out_dir / "manifest.json", asdict(manifest))
+    manifest = RunManifest(
+        run_id, command, stamp, recorded, parameters, seed, model, ontology, list(template_keys),
+        dict(extraction_rules), dict(derived_seeds), dict(counts), dict(outputs),
+    )
+    _write_json(out_dir / "manifest.json", manifest._asdict())
     return manifest
 
 
@@ -412,7 +415,7 @@ def run_analyze(
                 "mean_occurrence": mean,
                 "n_scored": n_scored[bucket],
                 "accuracy": acc,
-                **asdict(_mean_similarity(pairs_by_bucket.get(bucket, []))),
+                **_mean_similarity(pairs_by_bucket.get(bucket, []))._asdict(),
             }
             for (bucket, acc), mean in zip(acc_rows, means)
         ]
@@ -420,8 +423,8 @@ def run_analyze(
         bias = bias_ratio(assignment, repeated, top_k) if repeated else None
         overall = {
             "accuracy": accuracy(records),
-            **asdict(_mean_similarity(pairs)),
-            **asdict(hallucination_stats(ontology, records)),
+            **_mean_similarity(pairs)._asdict(),
+            **hallucination_stats(ontology, records)._asdict(),
         }
 
         series = [
@@ -444,9 +447,10 @@ def run_analyze(
             "excluded_missing_occurrence": excluded,
             "overall": overall,
             "per_bucket": per_bucket,
-            "spearman": {**asdict(correlation), "series_buckets": [bucket for bucket, _mean, _acc in series]},
+            "spearman": {**correlation._asdict(), "series_buckets": [bucket for bucket, _mean, _acc in series]},
             "granger": granger_block,
-            "bias": None if bias is None else asdict(bias),
+            # json.dumps writes a NamedTuple as an array: the nested rows are converted too.
+            "bias": None if bias is None else {**bias._asdict(), "per_bucket": [b._asdict() for b in bias.per_bucket]},
         }
         # Read only after the primary test, whose degenerate series exits first.
         if len(occurrence_paths) == 2:
@@ -574,7 +578,7 @@ def run_invariance(
                     fields=("rho", "p_value"),
                 )
             report["strategies"][strategy.value] = {
-                "per_bucket": [{k: v for k, v in asdict(row).items() if k != "strategy"} for row in rows],
+                "per_bucket": [{k: v for k, v in row._asdict().items() if k != "strategy"} for row in rows],
                 "avpi_accuracy_spearman": correlation,
             }
 

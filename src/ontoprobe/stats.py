@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateInputError
 
@@ -30,16 +29,14 @@ if TYPE_CHECKING:
 _PERMUTATION_BLOCK = 65536
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     rho: float
     p_value: float
     n_permutations: int
     seed: int
 
 
-@dataclass(frozen=True)
-class GrangerResult:
+class GrangerResult(NamedTuple):
     f_statistic: float
     p_value: float
     lag: int

@@ -243,6 +243,41 @@ class TestUsageErrors:
         assert err == "error: " + message.format(analysis=analysis_path, invariance=invariance_path) + "\n"
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize(
+        "field, changes",
+        [
+            ("provider", {"provider": 5}),
+            ("profile_path", {"profile_path": 5}),
+            ("endpoint", {"provider": "CHAT_HTTP", "endpoint": 5}),
+            ("max_attempts", {"provider": "CHAT_HTTP", "endpoint": "http://127.0.0.1:9", "max_attempts": 1.5}),
+            ("seed", {"seed": 7.5}),
+            ("seed", {"seed": "7"}),
+            ("seed", {"seed": True}),
+            ("temperature", {"temperature": True}),
+            ("max_new_tokens", {"max_new_tokens": 2.5}),
+            ("model_name", {"model_name": 5}),
+        ],
+    )
+    def test_model_config_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, changes):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--size", "30", "--seed", "3", "--out", str(sim)) == 0
+        config = json.loads((sim / "model_config.json").read_text(encoding="utf-8"))
+        (sim / "model_config.json").write_text(json.dumps({**config, **changes}), encoding="utf-8")
+        capsys.readouterr()
+        probe = tmp_path / "probe"
+        code = run_cli(
+            "probe",
+            "--ontology", str(sim / "concepts.csv"),
+            "--model-config", str(sim / "model_config.json"),
+            "--out", str(probe),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{field} must be" in err
+        assert "Traceback" not in err
+        # Rejected before any model call: nothing was asked, cached or scored.
+        assert not probe.exists()
+
 
 class TestDegenerateExit:
     @staticmethod
@@ -348,8 +383,10 @@ class TestImportPath:
         # Every stage starts by importing the CLI; only the statistics load
         # numpy and only analyze's F-test loads scipy.special, and only a
         # gateway's first HTTP attempt loads http.client and ssl, lazily.
-        # requests and urllib3 are never used.
-        heavy = "{'numpy', 'scipy', 'requests', 'urllib3', 'http.client', 'ssl'}"
+        # requests and urllib3 are never used. Records are NamedTuples, so
+        # no class generates code at import and dataclasses, with the
+        # inspect, ast and dis it loads, stays out.
+        heavy = "{'numpy', 'scipy', 'requests', 'urllib3', 'http.client', 'ssl', 'dataclasses', 'inspect', 'ast', 'dis'}"
         result = subprocess.run(
             [
                 sys.executable,

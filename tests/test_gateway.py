@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
@@ -54,6 +55,27 @@ class TestModelConfig:
     def test_http_requires_endpoint(self):
         with pytest.raises(ConfigurationError, match="endpoint"):
             ModelConfig(Provider.CHAT_HTTP, "m")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # NaN passed `<= 0` and then broke the throttle on its first request.
+            ({"requests_per_minute": math.nan}, "requests_per_minute must be positive"),
+            # An infinite step made the first backoff sleep overflow.
+            ({"backoff_base": math.inf}, "backoff_base must be finite and non-negative"),
+            ({"backoff_base": math.nan}, "backoff_base must be finite and non-negative"),
+            ({"backoff_base": -1.0}, "backoff_base must be finite and non-negative"),
+        ],
+    )
+    def test_pacing_values_out_of_range_rejected(self, change, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ModelConfig.from_dict({**_HTTP_BASE, **change})
+
+    def test_replace_runs_the_checks(self):
+        config = ModelConfig.from_dict(_HTTP_BASE)
+        assert config._replace(max_attempts=2).max_attempts == 2
+        with pytest.raises(ConfigurationError, match="max_attempts must be at least 1"):
+            config._replace(max_attempts=0)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -603,7 +625,8 @@ class TestHttpDispatch:
             **kwargs,
         )
         sleeps = []
-        gateway = ModelGateway(config, transport=transport, sleep_fn=sleeps.append)
+        # A jitter draw of 1 waits the whole backoff step, so the waits are exact.
+        gateway = ModelGateway(config, transport=transport, sleep_fn=sleeps.append, random_fn=lambda: 1.0)
         return gateway, sleeps
 
     def test_chat_wire_shape(self, monkeypatch):
@@ -659,6 +682,31 @@ class TestHttpDispatch:
             gateway.complete(chat_prompt(make_ontology(1).concepts[0]))
         assert len(transport.calls) == 4
         assert sleeps == [0.25, 0.5, 1.0]
+
+    def test_backoff_waits_are_fully_jittered(self):
+        # Each retry without Retry-After waits a uniform draw below its step,
+        # so workers that fail together spread out instead of retrying at once.
+        config = ModelConfig(
+            Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", backoff_base=0.25, max_attempts=4, max_in_flight=1
+        )
+        sleeps = []
+        gateway = ModelGateway(config, transport=ScriptedTransport([(503, None)]), sleep_fn=sleeps.append)
+        for concept in make_ontology(30).concepts:
+            with pytest.raises(TransportExhausted):
+                gateway.complete(chat_prompt(concept))
+        assert len(sleeps) == 30 * 3
+        for retry in range(3):
+            waits = sleeps[retry::3]
+            assert all(0.0 <= wait < 0.25 * 2**retry for wait in waits)
+            assert len(set(waits)) == 30
+
+    def test_retry_after_wait_is_not_jittered(self):
+        transport = ScriptedTransport([(429, None, "2"), (200, _openai_chat_body("ok"))])
+        sleeps = []
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+        gateway = ModelGateway(config, transport=transport, sleep_fn=sleeps.append)
+        assert gateway.complete(chat_prompt(make_ontology(1).concepts[0])).raw_text == "ok"
+        assert sleeps == [2.0]
 
     def test_authentication_failure_fatal(self):
         transport = ScriptedTransport([(401, None)])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import dataclasses
 import gc
 import inspect
 import json
@@ -1099,7 +1098,7 @@ class TestRunIdentity:
         concepts_path, _ = write_corpus(tmp_path, ontology)
         profile = make_profile(ontology, recall=0.5)
         base = run_probe(concepts_path, make_config(), tmp_path / "base", profile=profile)
-        tuned_config = dataclasses.replace(make_config(), **{name: value})
+        tuned_config = make_config()._replace(**{name: value})
         tuned = run_probe(concepts_path, tuned_config, tmp_path / "tuned", profile=profile)
         assert (tmp_path / "base" / "scored.ndjson").read_bytes() == (tmp_path / "tuned" / "scored.ndjson").read_bytes()
         assert base.run_id == tuned.run_id

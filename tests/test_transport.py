@@ -171,7 +171,8 @@ def no_proxy_env(monkeypatch):
 
 def _gateway(endpoint: str, sleeps: list, **kwargs) -> ModelGateway:
     config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint=endpoint, backoff_base=0.25, **kwargs)
-    return ModelGateway(config, sleep_fn=sleeps.append)
+    # A jitter draw of 1 waits the whole backoff step, so the waits are exact.
+    return ModelGateway(config, sleep_fn=sleeps.append, random_fn=lambda: 1.0)
 
 
 def _items(n: int) -> list:
