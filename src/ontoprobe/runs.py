@@ -526,61 +526,65 @@ def run_invariance(
     """
     out_dir = Path(out_dir)
     _require_positive(permutations=permutations)
-    if not isinstance(config, ModelConfig):
-        config = ModelConfig.from_file(config)
-    ontology = load_ontology(ontology_path)
-    occurrences = _load_occurrences(occurrence_path)
-    chosen = [inv.Strategy(s.upper()) for s in strategies]
-    if not chosen:
-        raise ConfigurationError("no invariance strategies selected")
-    if inv.Strategy.PI1 in chosen and m_repeats < 2:
-        raise ConfigurationError("--repeats must be at least 2")
-    prompt_style = _style_for(config, style)
+    # The permutation tests run in a worker process that loads numpy while
+    # this one reads the inputs and runs the batches; it forks before the
+    # gateway starts a thread. Spearman needs no scipy.
+    with stats_worker(libraries=("numpy.random",)):
+        if not isinstance(config, ModelConfig):
+            config = ModelConfig.from_file(config)
+        ontology = load_ontology(ontology_path)
+        occurrences = _load_occurrences(occurrence_path)
+        chosen = [inv.Strategy(s.upper()) for s in strategies]
+        if not chosen:
+            raise ConfigurationError("no invariance strategies selected")
+        if inv.Strategy.PI1 in chosen and m_repeats < 2:
+            raise ConfigurationError("--repeats must be at least 2")
+        prompt_style = _style_for(config, style)
 
-    assignment = bucketize(occurrences, buckets)
-    sample_seed = derive_seed(seed, "invariance-sample")
-    sampled = inv.sample_concepts(ontology, assignment, k=k_sample, seed=sample_seed)
-    concepts = [c for bucket in sorted(sampled) for c in sampled[bucket]]
-    if not concepts:
-        raise ConfigurationError("sampling produced no concepts; occurrence file matches no ontology concepts")
+        assignment = bucketize(occurrences, buckets)
+        sample_seed = derive_seed(seed, "invariance-sample")
+        sampled = inv.sample_concepts(ontology, assignment, k=k_sample, seed=sample_seed)
+        concepts = [c for bucket in sorted(sampled) for c in sampled[bucket]]
+        if not concepts:
+            raise ConfigurationError("sampling produced no concepts; occurrence file matches no ontology concepts")
 
-    with _open_gateway(config, out_dir, cache_path, profile, transport) as gateway:
-        outputs: dict[str, str] = {"cache": str(gateway.cache.path)}
-        report: dict = {
-            "n_buckets": buckets,
-            "k_sample": k_sample,
-            "n_sampled": len(concepts),
-            "strategies": {},
-        }
-        counts: dict[str, int] = {"sampled": len(concepts)}
-        for strategy in chosen:
-            if strategy is inv.Strategy.PI1:
-                records = inv.run_pi1(gateway, concepts, m=m_repeats, style=prompt_style)
-            elif strategy is inv.Strategy.PI2:
-                records = inv.run_pi2(gateway, concepts, style=prompt_style)
-            else:
-                records = inv.run_pi3(gateway, concepts, style=prompt_style)
-            path = out_dir / f"invariance_{strategy.value.lower()}.ndjson"
-            atomic_write_text(path, inv.write_invariance_records(records))
-            outputs[strategy.value.lower()] = str(path)
-            counts[f"answers_{strategy.value.lower()}"] = sum(r.m for r in records)
-
-            rows = inv.aggregate_avpi(records, assignment, ontology)
-            if len(rows) < 3:
-                correlation = {"error": f"only {len(rows)} occupied buckets; correlation needs at least 3"}
-            else:
-                correlation = _statistic(
-                    spearman,
-                    [row.avpi for row in rows],
-                    [row.accuracy for row in rows],
-                    n_permutations=permutations,
-                    seed=derive_seed(seed, f"avpi-{strategy.value}"),
-                    fields=("rho", "p_value"),
-                )
-            report["strategies"][strategy.value] = {
-                "per_bucket": [{k: v for k, v in row._asdict().items() if k != "strategy"} for row in rows],
-                "avpi_accuracy_spearman": correlation,
+        with _open_gateway(config, out_dir, cache_path, profile, transport) as gateway:
+            outputs: dict[str, str] = {"cache": str(gateway.cache.path)}
+            report: dict = {
+                "n_buckets": buckets,
+                "k_sample": k_sample,
+                "n_sampled": len(concepts),
+                "strategies": {},
             }
+            counts: dict[str, int] = {"sampled": len(concepts)}
+            for strategy in chosen:
+                if strategy is inv.Strategy.PI1:
+                    records = inv.run_pi1(gateway, concepts, m=m_repeats, style=prompt_style)
+                elif strategy is inv.Strategy.PI2:
+                    records = inv.run_pi2(gateway, concepts, style=prompt_style)
+                else:
+                    records = inv.run_pi3(gateway, concepts, style=prompt_style)
+                path = out_dir / f"invariance_{strategy.value.lower()}.ndjson"
+                atomic_write_text(path, inv.write_invariance_records(records))
+                outputs[strategy.value.lower()] = str(path)
+                counts[f"answers_{strategy.value.lower()}"] = sum(r.m for r in records)
+
+                rows = inv.aggregate_avpi(records, assignment, ontology)
+                if len(rows) < 3:
+                    correlation = {"error": f"only {len(rows)} occupied buckets; correlation needs at least 3"}
+                else:
+                    correlation = _statistic(
+                        spearman,
+                        [row.avpi for row in rows],
+                        [row.accuracy for row in rows],
+                        n_permutations=permutations,
+                        seed=derive_seed(seed, f"avpi-{strategy.value}"),
+                        fields=("rho", "p_value"),
+                    )
+                report["strategies"][strategy.value] = {
+                    "per_bucket": [{k: v for k, v in row._asdict().items() if k != "strategy"} for row in rows],
+                    "avpi_accuracy_spearman": correlation,
+                }
 
     languages = inv.DEFAULT_LANGUAGES if inv.Strategy.PI3 in chosen else (Language.EN,)
     report_path = out_dir / "invariance_report.json"

@@ -7,12 +7,13 @@ of y against one augmented with lagged x, over series ordered by
 ascending popularity bucket. Both are pure functions of their inputs.
 
 Inside a `worker()` block both are computed in one worker process, which
-loads numpy and scipy.special while the caller reads its inputs; outside
-one they are computed in the calling process.
+loads numpy (and scipy.special, unless told otherwise) while the caller
+reads its inputs; outside one they are computed in the calling process.
 """
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, NamedTuple
@@ -22,6 +23,9 @@ from .errors import DegenerateInputError
 # numpy is imported inside the functions that use it, so a stage that
 # computes no statistic never loads it.
 if TYPE_CHECKING:
+    import multiprocessing
+    from multiprocessing.connection import Connection
+
     import numpy as np
 
 # Permutations are processed in blocks so a large n_permutations request
@@ -44,67 +48,104 @@ class GrangerResult(NamedTuple):
     df: tuple[int, int]
 
 
-# The pool of the innermost worker() block open in this thread, if any.
-_pool: ContextVar = ContextVar("pool", default=None)
+class _Worker(NamedTuple):
+    process: multiprocessing.Process
+    conn: Connection
 
 
-def _load_libraries() -> None:
-    import numpy.random  # noqa: F401 - loaded ahead of the first statistic
-    import scipy.special  # noqa: F401
+# The worker of the innermost worker() block open in this thread, if any.
+_worker: ContextVar = ContextVar("worker", default=None)
+
+
+def _serve(conn: Connection, caller_end: Connection, libraries: tuple[str, ...]) -> None:
+    """The worker process: load `libraries`, then answer `(core, args)`
+    requests with `(True, result)` or `(False, exception)` until the
+    caller's end of the pipe closes, which it also does when the caller
+    dies."""
+    import importlib
+
+    caller_end.close()
+    # One BLAS thread: the matrices have at most a few dozen rows, and a
+    # second thread would only contend with the caller for a core.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    for name in libraries:
+        importlib.import_module(name)
+    try:
+        while True:
+            core, args = conn.recv()
+            try:
+                reply = (True, core(*args))
+            except Exception as exc:
+                reply = (False, exc)
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        return  # the caller's end is closed
+
+
+def _start(libraries: tuple[str, ...]) -> _Worker | None:
+    """A started worker process and the caller's end of its pipe; None if
+    either cannot be made. Each side closes the other side's end."""
+    import multiprocessing
+
+    try:
+        conn, worker_end = multiprocessing.Pipe()
+    except OSError:
+        return None
+    try:
+        process = multiprocessing.Process(target=_serve, args=(worker_end, conn, libraries))
+        process.start()
+    except (OSError, NotImplementedError):
+        conn.close()
+        return None
+    finally:
+        worker_end.close()
+    return _Worker(process, conn)
 
 
 @contextmanager
-def worker():
+def worker(libraries: tuple[str, ...] = ("numpy.random", "scipy.special")):
     """Compute `spearman` and `granger_f` in one worker process while the
     block runs.
 
-    The process starts on entry and at once imports numpy and
-    scipy.special, so a caller that enters before reading its inputs
-    overlaps that cost with its reading and never loads either library
-    itself. If the process cannot start, or breaks, the statistics are
-    computed in the calling process. On exit the process is shut down;
-    when the block raises, it is terminated first, so an error is not
-    held up by imports it no longer needs. It starts by the platform's
-    default method, which on Linux before Python 3.14 forks the caller:
-    enter before starting any thread.
+    The process starts on entry and at once imports `libraries`, so a
+    caller that enters before reading its inputs overlaps that cost with
+    its reading and never loads them itself. Both statistics need
+    numpy.random; only `granger_f` needs scipy.special, which a worker
+    left without it imports when first computing one. If the process
+    cannot start, or dies, the statistics are computed in the calling
+    process. On exit the process is terminated: no request is in flight
+    then unless the block raised while waiting for one, and an exit is
+    not held up by imports the block did not need. When the caller dies,
+    the worker reads the end of its pipe and exits. It starts by the
+    platform's default method, which on Linux before Python 3.14 forks
+    the caller: enter before starting any thread.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = None
-    try:
-        pool = ProcessPoolExecutor(max_workers=1)
-        pool.submit(_load_libraries)
-    except (OSError, NotImplementedError, BrokenProcessPool):
-        if pool is not None:
-            pool.shutdown()
-        pool = None
-    token = _pool.set(pool)
+    current = _start(libraries)
+    token = _worker.set(current)
     try:
         yield
-    except BaseException:
-        if pool is not None:
-            # ProcessPoolExecutor has no public way to stop a running task
-            # before Python 3.14.
-            for process in list(pool._processes.values()):
-                process.terminate()
-        raise
     finally:
-        _pool.reset(token)
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        _worker.reset(token)
+        if current is not None:
+            current.conn.close()
+            current.process.terminate()
+            current.process.join()
+            current.process.close()
 
 
 def _compute(core, *args):
-    """`core(*args)`, in the worker process if one is open."""
-    pool = _pool.get()
-    if pool is not None:
-        from concurrent.futures.process import BrokenProcessPool
-
+    """`core(*args)`, in the worker process if one is open and alive."""
+    current = _worker.get()
+    if current is not None:
         try:
-            return pool.submit(core, *args).result()
-        except BrokenProcessPool:
-            pass
+            current.conn.send((core, args))
+            ok, value = current.conn.recv()
+        except (OSError, EOFError):
+            pass  # the worker died
+        else:
+            if ok:
+                return value
+            raise value
     return core(*args)
 
 

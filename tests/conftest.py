@@ -1,10 +1,15 @@
 """Shared fixtures: small hand-counted ontology sources and synthetic profiles.
 
 Also prints one PASS/FAIL line per acceptance criterion at the end of a
-session that ran tests from test_acceptance.py.
+session that ran tests from test_acceptance.py, and fails a test that
+leaves a live child process behind.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import sys
 
 import pytest
 
@@ -225,3 +230,47 @@ def pytest_terminal_summary(terminalreporter):
         name = nodeid.split("::")[-1]
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{verdict}  {name}")
+
+
+def live_children(parent: int) -> set[int]:
+    """Pids of the processes whose parent is `parent` and that have not
+    exited. Linux only: read from /proc/<pid>/stat, which every kernel has
+    (/proc/<pid>/task/*/children needs CONFIG_PROC_CHILDREN)."""
+    pids = set()
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry.name}/stat", "rb") as f:
+                # pid (comm) state ppid ...; comm may hold spaces and parentheses
+                state, ppid = f.read().rpartition(b")")[2].split()[:2]
+        except OSError:
+            continue  # exited since the listing
+        if int(ppid) == parent and state != b"Z":
+            pids.add(int(entry.name))
+    return pids
+
+
+def _alive_children() -> set[int]:
+    pids = {child.pid for child in multiprocessing.active_children()}
+    if sys.platform.startswith("linux"):
+        pids |= live_children(os.getpid())
+    return pids
+
+
+# The children alive after the last test: each leak is reported once.
+_known_children: set[int] | None = None
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process of this one running."""
+    global _known_children
+    if _known_children is None:
+        _known_children = _alive_children()
+    yield
+    alive = _alive_children()
+    left, _known_children = alive - _known_children, alive
+    if left:
+        pytest.fail(f"the test left child processes running: {sorted(left)}")
+

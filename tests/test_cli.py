@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import inspect
 import json
+import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import make_ontology
+from conftest import live_children, make_ontology
 from ontoprobe import cli
 from ontoprobe.cli import build_parser, main
 from test_runs import write_corpus
@@ -21,6 +26,17 @@ from test_runs import write_corpus
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def main_in_subprocess(argv: list[str]) -> list:
+    """[exit code, numpy and scipy modules loaded] of `main(argv)` in a new interpreter."""
+    script = (
+        "import json, sys; from ontoprobe.cli import main; code = main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))]))"
+    )
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 class TestPipeline:
@@ -449,21 +465,65 @@ class TestImportPath:
                        "--out", str(tmp_path / "probe")) == 0
         analyze = ["analyze", "--scored", str(tmp_path / "probe" / "scored.ndjson"), "--ontology", table]
         analyze += ["--occurrences", str(sim / "occurrences.csv"), "--buckets", "12", "--out", str(tmp_path / "an")]
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import json, sys; from ontoprobe.cli import main; code = main(json.loads(sys.argv[1])); "
-                "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))]))",
-                json.dumps(analyze),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == [0, []]
+        assert main_in_subprocess(analyze) == [0, []]
         analysis = json.loads((tmp_path / "an" / "analysis.json").read_text(encoding="utf-8"))
         assert "rho" in analysis["spearman"] and "f_statistic" in analysis["granger"]
+
+    def test_invariance_main_process_loads_neither_numpy_nor_scipy(self, tmp_path, monkeypatch):
+        # invariance runs its Spearman tests in a worker process, which loads numpy.
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--size", "120", "--seed", "5", "--out", str(sim)) == 0
+        invariance = ["invariance", "--ontology", str(sim / "concepts.csv"), "--model-config",
+                      str(sim / "model_config.json"), "--occurrences", str(sim / "occurrences.csv"),
+                      "--buckets", "6", "--k-sample", "3", "--repeats", "3", "--permutations", "500"]
+        assert main_in_subprocess([*invariance, "--out", str(tmp_path / "worker")]) == [0, []]
+
+        def cannot_start(*args, **kwargs):
+            raise OSError("no process")
+
+        # With no worker, this process computes each test.
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", cannot_start)
+        assert run_cli(*invariance, "--out", str(tmp_path / "in_process")) == 0
+        report = (tmp_path / "worker" / "invariance_report.json").read_bytes()
+        assert (tmp_path / "in_process" / "invariance_report.json").read_bytes() == report
+        assert "rho" in json.loads(report)["strategies"]["PI2"]["avpi_accuracy_spearman"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="finds the worker in /proc")
+    @pytest.mark.parametrize("stage", ["analyze", "invariance"])
+    def test_killed_stage_leaves_no_process_behind(self, tmp_path, stage):
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--size", "2000", "--seed", "5", "--out", str(sim)) == 0
+        table, occurrences = str(sim / "concepts.csv"), str(sim / "occurrences.csv")
+        if stage == "analyze":
+            assert run_cli("probe", "--ontology", table, "--model-config", str(sim / "model_config.json"),
+                           "--out", str(tmp_path / "probe")) == 0
+            argv = ["analyze", "--scored", str(tmp_path / "probe" / "scored.ndjson"), "--ontology", table,
+                    "--occurrences", occurrences]
+        else:
+            argv = ["invariance", "--ontology", table, "--model-config", str(sim / "model_config.json"),
+                    "--occurrences", occurrences]
+        leader = subprocess.Popen([sys.executable, "-m", "ontoprobe.cli", *argv, "--out", str(tmp_path / "out")],
+                                  start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            while not live_children(leader.pid):
+                assert leader.poll() is None, "the stage ended before its worker started"
+                time.sleep(0.002)
+        finally:
+            leader.kill()
+            leader.wait()
+        assert leader.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 5
+        try:
+            while True:
+                try:
+                    os.killpg(leader.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a process of the killed stage is still running"
+                time.sleep(0.02)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(leader.pid, signal.SIGKILL)
 
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import gc
 import inspect
@@ -631,7 +630,7 @@ class TestAnalyzeWorker:
         compute = stats._compute
 
         def spy(core, *args):
-            calls.append((core.__name__, stats._pool.get() is not None))
+            calls.append((core.__name__, stats._worker.get() is not None))
             return compute(core, *args)
 
         monkeypatch.setattr(stats, "_compute", spy)
@@ -667,7 +666,7 @@ class TestAnalyzeWorker:
         def cannot_start(*args, **kwargs):
             raise OSError("no process")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_start)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", cannot_start)
         run_analyze(scored, concepts_path, [occurrences_path], tmp_path / "in_process", buckets=12, permutations=500)
         worker = (tmp_path / "worker" / "analysis.json").read_bytes()
         assert (tmp_path / "in_process" / "analysis.json").read_bytes() == worker
@@ -706,6 +705,27 @@ class TestInvarianceRun:
         assert manifest.counts["answers_pi1"] == 20 * 4
         assert manifest.counts["answers_pi2"] == 20 * 11
         assert manifest.counts["answers_pi3"] == 20 * 5
+
+    def test_spearman_tests_run_in_a_worker_without_scipy(self, tmp_path, monkeypatch):
+        _, concepts_path, occurrences_path, profile = self._setup(tmp_path)
+        opened, calls = [], []
+        start, compute = stats._start, stats._compute
+
+        def spy_start(libraries):
+            opened.append(libraries)
+            return start(libraries)
+
+        def spy_compute(core, *args):
+            calls.append((core.__name__, stats._worker.get() is not None))
+            return compute(core, *args)
+
+        monkeypatch.setattr(stats, "_start", spy_start)
+        monkeypatch.setattr(stats, "_compute", spy_compute)
+        run_invariance(concepts_path, make_config(seed=4), occurrences_path, tmp_path / "inv", buckets=4, k_sample=5,
+                       m_repeats=4, permutations=200, profile=profile)
+        assert opened == [("numpy.random",)]
+        assert calls == [("_spearman", True)] * 3
+        assert multiprocessing.active_children() == []
 
     def test_strategy_subset(self, tmp_path):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=20)

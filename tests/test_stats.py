@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import concurrent.futures
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -275,9 +277,7 @@ class TestWorker:
     def test_block_that_raises_does_not_wait_for_a_running_task(self):
         start = time.monotonic()
         with pytest.raises(KeyError), stats.worker():
-            task = stats._pool.get().submit(time.sleep, 30)
-            while not task.running():  # handed to the worker: past cancelling
-                time.sleep(0.01)
+            stats._worker.get().conn.send((time.sleep, (30,)))  # in the pipe: the worker will run it
             raise KeyError("input error")
         assert time.monotonic() - start < 10
         assert multiprocessing.active_children() == []
@@ -291,7 +291,7 @@ class TestWorker:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
-        "owner, name", [(concurrent.futures, "ProcessPoolExecutor"), (multiprocessing.process.BaseProcess, "start")]
+        "owner, name", [(multiprocessing, "Pipe"), (multiprocessing.process.BaseProcess, "start")]
     )
     def test_pool_or_process_that_cannot_start_computes_in_process(self, monkeypatch, owner, name):
         def cannot_start(*args, **kwargs):
@@ -303,3 +303,21 @@ class TestWorker:
             assert stats._compute(os.getpid) == os.getpid()
             assert spearman(self.X, self.Y, 500, 4) == expected
         assert multiprocessing.active_children() == []
+
+    def test_worker_for_spearman_alone_never_imports_scipy(self):
+        # A fresh interpreter: a forked worker inherits whatever this one loaded.
+        script = """if True:
+            import json, sys
+            from ontoprobe import stats
+
+            def loaded():
+                return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+            with stats.worker(libraries=("numpy.random",)):
+                result = stats.spearman(list(range(20)), [(7 * i) % 11 for i in range(20)], 500, 4)
+                print(json.dumps([result.p_value, stats._compute(loaded), loaded()]))
+        """
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        expected = spearman(list(range(20)), [(7 * i) % 11 for i in range(20)], 500, 4).p_value
+        assert json.loads(result.stdout) == [expected, ["numpy"], []]
