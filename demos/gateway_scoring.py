@@ -20,7 +20,6 @@ from ontoprobe import (
     PromptStyle,
     SyntheticProfile,
     accuracy,
-    default_rules,
     extract_id,
     hallucination_stats,
     render,
@@ -48,13 +47,12 @@ def main() -> None:
     gateway = ModelGateway(config, profile=profile)
 
     template = template_for(OntologyKind.GO, PromptStyle.CHAT, Language.EN)
-    rule = default_rules()[OntologyKind.GO]
 
     records = []
     for concept in ontology.concepts:
         prompt = render(template, concept)
         response = gateway.complete(prompt)
-        predicted = extract_id(rule, response.raw_text)
+        predicted = extract_id(OntologyKind.GO, response.raw_text)
         record = score(ontology, concept, predicted, raw_text=response.raw_text)
         records.append(record)
         verdict = "correct" if record.correct else ("invented" if record.invented else "wrong")

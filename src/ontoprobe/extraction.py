@@ -1,7 +1,7 @@
 """Pull a candidate concept ID out of a free-text model response.
 
-Each ontology gets a regular expression plus a normalizer that rewrites
-the captured text into the canonical ID shape (zero-padded GO/UBERON
+Each ontology kind has one regular expression, whose first group the
+normalizer rewrites into the canonical ID shape (zero-padded GO/UBERON
 numbers, dotted upper-case ICD-10 codes, leading-zero-free QIDs). The
 first match in the response wins; no match means no prediction, which
 downstream scoring counts as wrong.
@@ -9,11 +9,9 @@ downstream scoring counts as wrong.
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import NamedTuple
 
-from .ontology import OntologyKind, _checked_make, canonical_icd10
+from .ontology import OntologyKind, canonical_icd10
 
 # Default patterns. Case-insensitive on purpose: models answer with
 # "go:0001822" and "Go 1822" variants routinely.
@@ -24,44 +22,8 @@ DEFAULT_PATTERNS: dict[OntologyKind, str] = {
     OntologyKind.WIKIDATA: r"(?i)\bQ0*([0-9]+)\b",
 }
 
-_NORMALIZER_NOTES: dict[OntologyKind, str] = {
-    OntologyKind.GO: "upper-case GO prefix, single colon, numeric part zero-padded to 7 digits",
-    OntologyKind.UBERON: "upper-case UBERON prefix, single colon, numeric part zero-padded to 7 digits",
-    OntologyKind.ICD10: "upper-case, dot inserted after the 3rd character when 4+ alphanumerics carry no dot",
-    OntologyKind.WIKIDATA: "Q plus digits with leading zeros stripped",
-}
-
-
-# Rule patterns, each compiled once; rules are few, so a small cache holds them.
-_compile = functools.lru_cache(maxsize=64)(re.compile)
-
-
-class _ExtractionRuleFields(NamedTuple):
-    ontology_kind: OntologyKind
-    pattern: str
-    normalizer: str
-
-
-class ExtractionRule(_ExtractionRuleFields):
-    __slots__ = ()
-
-    def __new__(cls, ontology_kind: OntologyKind, pattern: str, normalizer: str):
-        _compile(pattern)  # a malformed pattern raises re.error here
-        return tuple.__new__(cls, (ontology_kind, pattern, normalizer))
-
-    _make = classmethod(_checked_make)
-
-    @property
-    def compiled(self) -> re.Pattern:
-        return _compile(self.pattern)
-
-
-def default_rules() -> dict[OntologyKind, ExtractionRule]:
-    return {
-        kind: ExtractionRule(kind, pattern, _NORMALIZER_NOTES[kind])
-        for kind, pattern in DEFAULT_PATTERNS.items()
-    }
-
+# Each pattern compiled on its first search, not at import.
+_COMPILED: dict[OntologyKind, re.Pattern] = {}
 
 # Prefix-optional digit forms normalize_id accepts, compiled once.
 _PREFIXED_DIGITS = {
@@ -101,16 +63,14 @@ def normalize_id(kind: OntologyKind, raw_match: str) -> str | None:
     raise ValueError(f"unknown ontology kind {kind!r}")
 
 
-def extract_id(rule: ExtractionRule, raw_text: str) -> str | None:
-    """First pattern match in raw_text, normalized; None when absent.
+def extract_id(kind: OntologyKind, raw_text: str) -> str | None:
+    """First match of the kind's pattern in raw_text, normalized; None when absent.
 
     Total over arbitrary input: never raises on response content.
     """
-    m = rule.compiled.search(raw_text)
-    if m is None:
-        return None
-    fragment = m.group(1) if m.groups() else m.group(0)
-    return normalize_id(rule.ontology_kind, fragment)
+    pattern = _COMPILED.get(kind) or _COMPILED.setdefault(kind, re.compile(DEFAULT_PATTERNS[kind]))
+    m = pattern.search(raw_text)
+    return None if m is None else normalize_id(kind, m.group(1))
 
 
 _COMPLETION_CUE = re.compile(r"(?:GO|UBERON):\s*\Z", re.IGNORECASE)

@@ -316,10 +316,10 @@ class ResponseCache:
     """Append-only newline-delimited JSON store of raw responses.
 
     A line counts once its newline is written. A torn final line (crash
-    mid-append) is ignored on load and cut off before the first append;
-    a corrupt final line is ignored; corruption anywhere else is an
-    error. Appends go through one handle, flushed after every line and
-    released by close().
+    mid-append) or a corrupt one (bad JSON or bad UTF-8) is ignored on
+    load and cut off before the first append; corruption anywhere else
+    is an error. Appends go through one handle, flushed after every line
+    and released by close().
     """
 
     def __init__(self, path: str | Path):
@@ -333,11 +333,19 @@ class ResponseCache:
             data = self.path.read_bytes()
             self._loaded_size = len(data)
             end = data.rfind(b"\n") + 1
-            if end < len(data):
-                self._torn_at = end
+            last = data.rfind(b"\n", 0, end - 1) + 1  # where the final complete line starts
             # Split on newlines only: str.splitlines() also breaks at
             # U+2028 and U+0085, which json.dumps leaves unescaped.
-            lines = data[:end].decode("utf-8").split("\n")[:-1]
+            try:
+                lines = data[:end].decode("utf-8").split("\n")[:-1]
+            except UnicodeDecodeError as exc:
+                if exc.start < last:
+                    line_no = data.count(b"\n", 0, exc.start) + 1
+                    raise ParseError(f"response cache {self.path}: line {line_no} is corrupt: {exc}") from exc
+                # The final line is cut; the "" kept after the others is last, so none of them is skipped.
+                end, lines = last, data[:last].decode("utf-8").split("\n")
+            if end < len(data):
+                self._torn_at = end
             for idx, line in enumerate(lines):
                 if not line.strip():
                     continue
@@ -345,9 +353,9 @@ class ResponseCache:
                     key_hash, raw_text = _cached_answer(line)
                     self._entries[key_hash] = raw_text
                 except (KeyError, TypeError, ValueError) as exc:
-                    if idx == len(lines) - 1:
-                        break
-                    raise ParseError(f"response cache {self.path}: line {idx + 1} is corrupt: {exc}") from exc
+                    if idx < len(lines) - 1:
+                        raise ParseError(f"response cache {self.path}: line {idx + 1} is corrupt: {exc}") from exc
+                    self._torn_at = last
 
     def __len__(self) -> int:
         return len(self._entries)

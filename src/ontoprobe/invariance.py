@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ParseError
-from .extraction import completion_cue, default_rules, extract_id
+from .extraction import completion_cue, extract_id
 from .gateway import ModelGateway
 from .metrics import _ndjson, _ndjson_lines, _read_row, is_correct
 from .ontology import Concept, Ontology
@@ -118,13 +118,11 @@ def _run_calls(
         prompts = {language: render(templates[concept.source, language], concept) for language in languages}
         items.extend((prompts[language], tag, temperature) for language, tag, temperature in steps)
     responses = gateway.complete_batch(items)
-    rules = default_rules()
     records = []
     for i, concept in enumerate(concepts):
         span = slice(i * len(steps), (i + 1) * len(steps))
-        rule = rules[concept.source]
         answers = [
-            None if response is None else extract_id(rule, cues[concept.source, language] + response.raw_text)
+            None if response is None else extract_id(concept.source, cues[concept.source, language] + response.raw_text)
             for (language, _tag, _temp), response in zip(steps, responses[span])
         ]
         u = unique_answers(answers)
@@ -145,27 +143,14 @@ def run_pi1(
     return _run_calls(gateway, concepts, Strategy.PI1, [(Language.EN, tag, 0.0) for tag in range(m)], style)
 
 
-def run_pi2(
-    gateway: ModelGateway,
-    concepts: list[Concept],
-    temperatures=DEFAULT_TEMPERATURES,
-    style: PromptStyle = PromptStyle.CHAT,
-) -> list[InvarianceRecord]:
-    """One call per temperature per concept, same prompt text."""
-    temperatures = [float(t) for t in temperatures]
-    if len(set(temperatures)) < 2:
-        raise ValueError("need at least 2 distinct temperatures")
-    return _run_calls(gateway, concepts, Strategy.PI2, [(Language.EN, 0, t) for t in temperatures], style)
+def run_pi2(gateway: ModelGateway, concepts: list[Concept], style: PromptStyle = PromptStyle.CHAT) -> list[InvarianceRecord]:
+    """One call per temperature of DEFAULT_TEMPERATURES per concept, same prompt text."""
+    return _run_calls(gateway, concepts, Strategy.PI2, [(Language.EN, 0, t) for t in DEFAULT_TEMPERATURES], style)
 
 
-def run_pi3(
-    gateway: ModelGateway, concepts: list[Concept], languages=DEFAULT_LANGUAGES, style: PromptStyle = PromptStyle.CHAT
-) -> list[InvarianceRecord]:
-    """One call per prompt language per concept, temperature 0; labels are never translated."""
-    languages = [Language(l) for l in languages]
-    if len(set(languages)) < 2:
-        raise ValueError("need at least 2 distinct languages")
-    return _run_calls(gateway, concepts, Strategy.PI3, [(language, 0, 0.0) for language in languages], style)
+def run_pi3(gateway: ModelGateway, concepts: list[Concept], style: PromptStyle = PromptStyle.CHAT) -> list[InvarianceRecord]:
+    """One call per language of DEFAULT_LANGUAGES per concept, temperature 0; labels are never translated."""
+    return _run_calls(gateway, concepts, Strategy.PI3, [(language, 0, 0.0) for language in DEFAULT_LANGUAGES], style)
 
 
 def aggregate_avpi(

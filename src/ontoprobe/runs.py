@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import invariance as inv
 from .errors import ConfigurationError, DegenerateInputError, ParseError
-from .extraction import DEFAULT_PATTERNS, completion_cue, default_rules, extract_id
+from .extraction import DEFAULT_PATTERNS, completion_cue, extract_id
 from .gateway import (
     HallucinationStyle,
     ModelConfig,
@@ -181,16 +181,23 @@ def _ontology_descriptor(ontology: Ontology) -> dict:
     }
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_ontology(path: str | Path, kind: str | None = None) -> Ontology:
     """Read a canonical concept table, optionally checking its kind."""
-    ontology = read_concept_table(Path(path).read_text(encoding="utf-8"))
+    ontology = read_concept_table(_read_text(path))
     if kind is not None and ontology.kind is not OntologyKind(kind.upper()):
         raise ConfigurationError(f"{path} holds a {ontology.kind.value} table, expected {kind.upper()}")
     return ontology
 
 
 def _load_occurrences(path: str | Path) -> list[OccurrenceRecord]:
-    occurrences = read_occurrences(Path(path).read_text(encoding="utf-8"))
+    occurrences = read_occurrences(_read_text(path))
     if not occurrences:
         raise ParseError(f"{path} holds no occurrence records")
     return occurrences
@@ -236,13 +243,13 @@ def run_ingest(
     source_path = Path(source_path)
     out_dir = Path(out_dir)
     kind_enum = OntologyKind(kind.upper())
-    text = source_path.read_text(encoding="utf-8")
+    text = _read_text(source_path)
     if kind_enum in (OntologyKind.GO, OntologyKind.UBERON):
         ontology = parse_obo(text, kind_enum.value)
     elif kind_enum is OntologyKind.ICD10:
         ontology = parse_icd10(text, max_code_chars=max_code_chars)
     else:
-        universe_text = Path(universe_path).read_text(encoding="utf-8") if universe_path else None
+        universe_text = _read_text(universe_path) if universe_path else None
         ontology = parse_wikidata_sample(text, universe_text)
 
     concepts_path = out_dir / "concepts.csv"
@@ -310,7 +317,6 @@ def run_probe(
         prompts = [render(template, concept) for concept in concepts]
         responses = gateway.complete_batch([(p, 0, None) for p in prompts])
 
-    rule = default_rules()[ontology.kind]
     cue = completion_cue(template.text)
     records: list[ProbeRecord] = []
     failed = 0
@@ -322,7 +328,7 @@ def run_probe(
             continue
         if response.from_cache:
             cached += 1
-        records.append(score(ontology, concept, extract_id(rule, cue + response.raw_text), response.raw_text))
+        records.append(score(ontology, concept, extract_id(ontology.kind, cue + response.raw_text), response.raw_text))
 
     scored_path = out_dir / "scored.ndjson"
     atomic_write_text(scored_path, write_scored_records(records))
@@ -378,7 +384,7 @@ def run_analyze(
     # while this one reads the inputs and does the per-record work.
     with stats_worker():
         ontology = load_ontology(ontology_path)
-        records = read_scored_records(scored_path.read_text(encoding="utf-8"), ontology)
+        records = read_scored_records(_read_text(scored_path), ontology)
         if not records:
             raise ParseError(f"{scored_path} holds no scored records")
         occurrences = _load_occurrences(occurrence_paths[0])
@@ -483,7 +489,7 @@ def _compare_occurrences(
     seed: int,
     lag: int,
 ) -> dict:
-    secondary = read_occurrences(secondary_path.read_text(encoding="utf-8"))
+    secondary = read_occurrences(_read_text(secondary_path))
     secondary_by_id = {r.concept_id: r for r in secondary}
     shared = [r for r in primary if r.concept_id in secondary_by_id]
     if len(shared) < 3:

@@ -25,7 +25,6 @@ from ontoprobe import (
     atomic_write_text,
     bias_ratio,
     bucketize,
-    default_rules,
     extract_id,
     granger_f,
     jaccard_label_similarity,
@@ -272,14 +271,13 @@ def test_criterion_6_ontology_parsing_and_round_trip(
 
 def test_criterion_7_extraction_golden_file():
     golden = Path(__file__).parent / "data" / "extraction_golden.csv"
-    rules = default_rules()
     with golden.open(encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 20
     for row in rows:
         kind = OntologyKind(row["kind"])
         expected = row["expected"] or None
-        got = extract_id(rules[kind], row["raw_text"])
+        got = extract_id(kind, row["raw_text"])
         assert got == expected, f"{kind.value}: {row['raw_text']!r} -> {got!r}, expected {expected!r}"
 
 

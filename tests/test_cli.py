@@ -190,6 +190,44 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("probe", "concepts.csv"),
+            ("analyze", "concepts.csv"),
+            ("analyze", "scored.ndjson"),
+            ("analyze", "occurrences.csv"),
+            ("analyze", "second.csv"),
+            ("ingest", "source.csv"),
+            ("ingest", "universe.txt"),
+        ],
+    )
+    def test_input_not_utf8_exits_two_naming_it(self, tmp_path, capsys, wikidata_csv_text, command, bad):
+        assert run_cli("simulate", "--size", "40", "--seed", "3", "--out", str(tmp_path)) == 0
+        config = ("--model-config", str(tmp_path / "model_config.json"))
+        assert run_cli("probe", "--ontology", str(tmp_path / "concepts.csv"), *config, "--out", str(tmp_path)) == 0
+        (tmp_path / "second.csv").write_bytes((tmp_path / "occurrences.csv").read_bytes())
+        (tmp_path / "source.csv").write_text(wikidata_csv_text, encoding="utf-8")
+        (tmp_path / "universe.txt").write_text("Q1\nQ2\nQ42\nQ155\nQ308\n", encoding="utf-8")
+        path = tmp_path / bad
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        args = {
+            "probe": ("--ontology", str(tmp_path / "concepts.csv"), *config),
+            "analyze": (
+                "--scored", str(tmp_path / "scored.ndjson"),
+                "--ontology", str(tmp_path / "concepts.csv"),
+                "--occurrences", str(tmp_path / "occurrences.csv"),
+                "--occurrences", str(tmp_path / "second.csv"),
+            ),
+            "ingest": ("--source", str(tmp_path / "source.csv"), "--kind", "wikidata",
+                       "--universe", str(tmp_path / "universe.txt")),
+        }[command]
+        code = run_cli(command, *args, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path} is not UTF-8 text: " in err
+        assert "Traceback" not in err
+
 
     @pytest.mark.parametrize("field, value", [("predicted_id", 1234), ("correct", "false")])
     def test_scored_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, value):

@@ -353,18 +353,25 @@ class TestResponseCache:
             '{"key_hash": 7, "prompt": "p", "raw_text": "x", "timestamp": 1.0}',
             "[1]",
             '"%s"',
+            b'{"key_hash": "%s", "prompt": "p\xff", "raw_text": "x", "timestamp": 1.0}',
         ],
     )
     def test_corrupt_row_is_an_error_mid_file_and_skipped_last(self, tmp_path, bad):
-        good = '{"key_hash": "%s", "prompt": "p", "raw_text": "GO:0000001", "timestamp": 1.0}' % ("ab" * 32)
-        line = bad % ("cd" * 32) if "%s" in bad else bad
+        good = b'{"key_hash": "%s", "prompt": "p", "raw_text": "GO:0000001", "timestamp": 1.0}' % (b"ab" * 32)
+        bad = bad if isinstance(bad, bytes) else bad.encode("utf-8")
+        line = bad % (b"cd" * 32) if b"%s" in bad else bad
         path = tmp_path / "cache.ndjson"
-        path.write_text(f"{good}\n{line}\n{good}\n", encoding="utf-8")
+        path.write_bytes(b"%s\n%s\n%s\n" % (good, line, good))
         with pytest.raises(ParseError, match=r"line 2 is corrupt: "):
             ResponseCache(path)
-        path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+        path.write_bytes(b"%s\n%s\n" % (good, line))
         cache = ResponseCache(path)
         assert (len(cache), cache.get("ab" * 32), cache.get("cd" * 32)) == (1, "GO:0000001", None)
+        # The first append cuts the skipped line, so it never ends up mid-file.
+        cache.put("ef" * 32, "p", "GO:0000002")
+        cache.close()
+        cache = ResponseCache(path)
+        assert (len(cache), cache.get("ab" * 32), cache.get("ef" * 32)) == (2, "GO:0000001", "GO:0000002")
 
     def test_each_append_is_on_disk_before_close(self, tmp_path):
         path = tmp_path / "cache.ndjson"

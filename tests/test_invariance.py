@@ -180,12 +180,6 @@ class TestRunPi2:
         records = run_pi2(ModelGateway(make_config(), profile=profile), ontology.concepts)
         assert all(r.pi == 1.0 for r in records)
 
-    def test_needs_two_distinct_temperatures(self):
-        ontology = make_ontology(2)
-        gateway = ModelGateway(make_config(), profile=make_profile(ontology))
-        with pytest.raises(ValueError, match="distinct temperatures"):
-            run_pi2(gateway, ontology.concepts, temperatures=[0.5, 0.5])
-
 
 class TestRunPi3:
     def test_five_languages_label_untranslated(self):
@@ -200,12 +194,6 @@ class TestRunPi3:
         # gateway=None: resolving templates must fail before it is touched
         with pytest.raises(ConfigurationError):
             run_pi3(None, ontology.concepts, style=PromptStyle.COMPLETION)
-
-    def test_needs_two_distinct_languages(self):
-        ontology = make_ontology(2)
-        gateway = ModelGateway(make_config(), profile=make_profile(ontology))
-        with pytest.raises(ValueError, match="distinct languages"):
-            run_pi3(gateway, ontology.concepts, languages=["EN", "EN"])
 
 
 class TestAggregate:

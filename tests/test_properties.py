@@ -43,7 +43,6 @@ from ontoprobe import (
     cache_key,
     canonical_icd10,
     completion_cue,
-    default_rules,
     extract_id,
     granger_f,
     levenshtein,
@@ -81,7 +80,7 @@ ID_LIKE = st.one_of(
 @BOUNDED
 @given(kind=KINDS, text=st.one_of(st.text(), ID_LIKE.map(lambda s: f"the answer is {s}.")))
 def test_extract_id_is_total(kind, text):
-    predicted = extract_id(default_rules()[kind], text)
+    predicted = extract_id(kind, text)
     assert predicted is None or ID_PATTERNS[kind].match(predicted)
 
 

@@ -5,7 +5,6 @@ values, and the statistics results cross the worker process unchanged."""
 from __future__ import annotations
 
 import copy
-import re
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
@@ -21,7 +20,6 @@ from ontoprobe import (
     Concept,
     CorrelationResult,
     ErrorSimilarity,
-    ExtractionRule,
     GrangerResult,
     HallucinationStats,
     HallucinationStyle,
@@ -96,7 +94,6 @@ RECORD_ARGS = {
         st.sampled_from(OntologyKind), st.sampled_from(PromptStyle), st.sampled_from(Language),
         st.tuples(TEXT, TEXT).filter(lambda ab: "{l}" not in "|".join(ab)).map(lambda ab: ab[0] + "{l}" + ab[1]),
     ),
-    ExtractionRule: st.tuples(st.sampled_from(OntologyKind), TEXT.map(re.escape), TEXT),
     CorrelationResult: st.tuples(FLOATS, UNIT, COUNTS, st.integers()),
     GrangerResult: st.tuples(FLOATS, UNIT, COUNTS, COUNTS, st.tuples(COUNTS, COUNTS)),
     ModelConfig: st.tuples(
