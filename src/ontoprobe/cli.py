@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .errors import DegenerateInputError, OntoprobeError, TransportExhausted
@@ -115,11 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    kwargs = vars(build_parser().parse_args(argv))
-    # Subcommand X runs run_X, looked up at call time so that rebinding a
-    # run_* name on this module (as perfbench/tracing.py does) takes effect.
-    runner = globals()[f"run_{kwargs.pop('command')}"]
+    # The cyclic collector is paused for the whole stage: its rows hold no
+    # reference cycles, so collections would walk them and free nothing.
+    # The stats worker that the stage forks inherits the pause.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        kwargs = vars(build_parser().parse_args(argv))
+        # Subcommand X runs run_X, looked up at call time so that rebinding a
+        # run_* name on this module (as perfbench/tracing.py does) takes effect.
+        runner = globals()[f"run_{kwargs.pop('command')}"]
         manifest = runner(**kwargs)
         # Only probe records failed requests.
         if manifest.counts.get("failed", 0) > 0:
@@ -134,6 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, DegenerateInputError):
             return EXIT_DEGENERATE
         return EXIT_TRANSPORT if isinstance(exc, TransportExhausted) else EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConfigurationError, ParseError, TransportExhausted
-from .ontology import OntologyKind, _checked_make, _gc_paused
+from .ontology import OntologyKind, _checked_make
 from .prompts import RenderedPrompt
 
 API_KEY_ENV = "ONTOPROBE_API_KEY"
@@ -148,7 +148,6 @@ class ModelConfig(_ModelConfigFields):
         return config
 
 
-@_gc_paused
 def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError) -> dict:
     """The JSON object in `path`. An unreadable file raises ConfigurationError,
     invalid JSON or another JSON value `invalid`; the messages name `what`

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .errors import ParseError
-from .ontology import Concept, Ontology, OntologyKind, _checked_make, _gc_paused, normalize_label
+from .ontology import Concept, Ontology, OntologyKind, _checked_make, normalize_label
 
 
 class _ProbeRecordFields(NamedTuple):
@@ -274,7 +274,6 @@ _SCORED_SHAPES = {
 }
 
 
-@_gc_paused
 def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     """Parse a scored-run file, resolving each row against the ontology.
 

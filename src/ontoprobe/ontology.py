@@ -11,8 +11,6 @@ file, which is what invention checks run against. A canonical CSV format
 from __future__ import annotations
 
 import csv
-import functools
-import gc
 import io
 import re
 from collections import Counter
@@ -169,38 +167,6 @@ class Ontology:
         return len(self.concepts)
 
 
-def _gc_paused(reader):
-    """`reader` with the cyclic garbage collector paused while it runs.
-
-    A reader builds an object or two per row of its input and no reference
-    cycles, so the collections its allocations set off (a young one every
-    700 new objects, now and then a full one over every live object) walk
-    the rows built so far and free nothing. When it returns, every tracked
-    object goes straight to the oldest generation (a freeze, then a thaw),
-    so the young collections that follow do not walk the rows either; that
-    step is skipped while objects are frozen, which it would thaw. The
-    collector is the process's: a thread that switches it while a reader
-    runs may have its switch undone when the reader returns, or end the
-    reader's pause early.
-    """
-
-    @functools.wraps(reader)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return reader(*args, **kwargs)
-        gc.disable()
-        try:
-            return reader(*args, **kwargs)
-        finally:
-            if not gc.get_freeze_count():
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
-
-    return paused
-
-
-@_gc_paused
 def parse_obo(text: str, native_prefix: str) -> Ontology:
     """Parse an OBO flat file, keeping [Term] stanzas with the native prefix.
 
@@ -296,7 +262,6 @@ def _csv_rows(text: str, expected_header: list[str], what: str):
         raise ParseError(f"{what}: line {reader.line_num}: {exc}") from None
 
 
-@_gc_paused
 def parse_icd10(text: str, max_code_chars: int = 4) -> Ontology:
     """Parse a `code,label` ICD-10 table.
 
@@ -323,7 +288,6 @@ def parse_icd10(text: str, max_code_chars: int = 4) -> Ontology:
     return _ontology(OntologyKind.ICD10, concepts, universe)
 
 
-@_gc_paused
 def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontology:
     """Parse a `qid,label,qrank` sample table.
 
@@ -385,7 +349,6 @@ def write_concept_table(ontology: Ontology) -> str:
     return buf.getvalue()
 
 
-@_gc_paused
 def read_concept_table(text: str) -> Ontology:
     """Parse the canonical concept table back into an Ontology."""
     kind: OntologyKind | None = None

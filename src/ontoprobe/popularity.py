@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .metrics import ProbeRecord
-from .ontology import _checked_make, _csv_rows, _gc_paused
+from .ontology import _checked_make, _csv_rows
 
 OCCURRENCE_HEADER = ["source", "id", "occurrences"]
 
@@ -67,7 +67,6 @@ class BiasRatioReport(NamedTuple):
     per_bucket: tuple[BucketBias, ...]
 
 
-@_gc_paused
 def read_occurrences(text: str) -> list[OccurrenceRecord]:
     """Parse a `source,id,occurrences` CSV."""
     records = []

@@ -378,7 +378,7 @@ def run_analyze(
         raise ConfigurationError("analyze requires at least one occurrence file")
     if len(occurrence_paths) > 2:
         raise ConfigurationError("analyze takes at most two occurrence files")
-    _require_positive(lag=lag, permutations=permutations, top_k=top_k)
+    _require_positive(buckets=buckets, lag=lag, permutations=permutations, top_k=top_k)
 
     # The statistics run in a worker process that loads numpy and scipy
     # while this one reads the inputs and does the per-record work.
@@ -531,7 +531,7 @@ def run_invariance(
     report records that reason instead of a coefficient.
     """
     out_dir = Path(out_dir)
-    _require_positive(permutations=permutations)
+    _require_positive(buckets=buckets, k_sample=k_sample, permutations=permutations)
     # The permutation tests run in a worker process that loads numpy while
     # this one reads the inputs and runs the batches; it forks before the
     # gateway starts a thread. Spearman needs no scipy.

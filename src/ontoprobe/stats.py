@@ -145,7 +145,11 @@ def _compute(core, *args):
         else:
             if ok:
                 return value
-            raise value
+            # Unbound on the way out, or its traceback and this frame form a cycle.
+            try:
+                raise value
+            finally:
+                del value
     return core(*args)
 
 

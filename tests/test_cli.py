@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import inspect
 import json
 import multiprocessing
@@ -416,6 +417,77 @@ class TestTransportExit:
         assert "failed requests" in capsys.readouterr().err
         # the run still produced a complete, loadable scored file
         assert (tmp_path / "probe" / "scored.ndjson").exists()
+
+
+def collections_during(argv: list[str]) -> tuple[int, list[int]]:
+    """The exit code of `main(argv)` in this process, and the generation of
+    each collection that started while it ran."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        code = main(argv)
+    finally:
+        gc.callbacks.remove(record)
+    return code, started
+
+
+@pytest.fixture(scope="module")
+def stage_argvs(tmp_path_factory) -> dict[str, list[str]]:
+    """Each stage's arguments over inputs made beforehand, a few thousand
+    rows each: enough allocations to set off collections were the
+    collector running."""
+    tmp = tmp_path_factory.mktemp("stages")
+    sim = tmp / "sim"
+    assert run_cli("simulate", "--size", "3000", "--seed", "3", "--out", str(sim)) == 0
+    table, config, occurrences = str(sim / "concepts.csv"), str(sim / "model_config.json"), str(sim / "occurrences.csv")
+    assert run_cli("probe", "--ontology", table, "--model-config", config, "--out", str(tmp / "p0")) == 0
+    analyze = ["--scored", str(tmp / "p0" / "scored.ndjson"), "--ontology", table, "--occurrences", occurrences]
+    analyze += ["--buckets", "200", "--permutations", "50"]
+    assert run_cli("analyze", *analyze, "--out", str(tmp / "a0")) == 0
+    obo = tmp / "go.obo"
+    obo.write_text("".join(f"[Term]\nid: GO:{i:07d}\nname: term {i}\n\n" for i in range(1, 3001)), encoding="utf-8")
+    return {
+        "simulate": ["simulate", "--size", "3000", "--seed", "4", "--out", str(tmp / "sim2")],
+        "ingest": ["ingest", "--source", str(obo), "--kind", "go", "--out", str(tmp / "ingest")],
+        "probe": ["probe", "--ontology", table, "--model-config", config, "--out", str(tmp / "probe")],
+        "analyze": ["analyze", *analyze, "--out", str(tmp / "analysis")],
+        "invariance": [
+            "invariance", "--ontology", table, "--model-config", config, "--occurrences", occurrences,
+            "--strategies", "PI1", "--buckets", "4", "--k-sample", "5", "--permutations", "50",
+            "--out", str(tmp / "inv"),
+        ],
+        "report": ["report", "--analysis", str(tmp / "a0" / "analysis.json"), "--out", str(tmp / "report")],
+    }
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("stage", ["simulate", "ingest", "probe", "analyze", "invariance", "report"])
+    def test_stage_runs_with_the_collector_paused(self, stage_argvs, stage):
+        assert collections_during(stage_argvs[stage]) == (0, [])
+        assert gc.isenabled()
+
+    def test_a_callers_pause_stays(self, stage_argvs):
+        gc.disable()
+        try:
+            assert run_cli(*stage_argvs["report"]) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_failed_stage_resumes_the_collector(self, stage_argvs, capsys, tmp_path):
+        argv = list(stage_argvs["analyze"])
+        argv[argv.index("--scored") + 1] = str(tmp_path / "absent.ndjson")
+        assert run_cli(*argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            run_cli("analyze", "--buckets", "many")
+        assert gc.isenabled()
 
 
 class TestInstalledEntrypoint:

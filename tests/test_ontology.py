@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-import json
-
 import pytest
 
 from ontoprobe import (
@@ -22,9 +19,6 @@ from ontoprobe import (
     read_occurrences,
     write_concept_table,
 )
-from conftest import make_ontology
-from ontoprobe import OccurrenceRecord, ProbeRecord, read_scored_records, write_occurrences, write_scored_records
-from ontoprobe.gateway import _read_json
 from ontoprobe.prompts import load_translation_table
 
 
@@ -419,87 +413,3 @@ class TestSharedCsvReader:
         parse, header, row, _error = CSV_CALLERS[caller]
         bad = ",".join(["BOGUS", *row.split(",")[1:]]) if caller != "occurrence file" else "web,GO:0000001,many"
         self._raises(caller, f"{header}\n\n{bad}\n", f"^{caller}: row 3")
-
-
-# Every reader of a stage input that keeps an object per row, over 3,000
-# rows: enough allocations to set off young collections were the collector
-# running. (The response cache keeps only strings, which it never tracks.)
-ROWS = 3000
-
-
-def _reader_calls(tmp_path):
-    """Each reader as a call on inputs made beforehand."""
-    ontology = make_ontology(ROWS)
-    document = tmp_path / "document.json"
-    document.write_text(json.dumps({f"GO:{i:07d}": {"recall": 0.5} for i in range(ROWS)}))
-    table = write_concept_table(ontology)
-    occurrences = write_occurrences([OccurrenceRecord(c.id, "web", 1) for c in ontology.concepts])
-    scored = write_scored_records([ProbeRecord(c, None, False, False, "") for c in ontology.concepts])
-    obo = "".join(f"[Term]\nid: GO:{i:07d}\nname: term {i}\n\n" for i in range(1, ROWS + 1))
-    icd = "code,label\n" + "".join(f"{chr(65 + i // 100 % 26)}{i % 100:02d}.{i // 2600},d {i}\n" for i in range(ROWS))
-    wikidata = "qid,label,qrank\n" + "".join(f"Q{i},label {i},1\n" for i in range(1, ROWS + 1))
-    return {
-        "read_concept_table": lambda: read_concept_table(table),
-        "parse_obo": lambda: parse_obo(obo, "GO"),
-        "parse_icd10": lambda: parse_icd10(icd, max_code_chars=5),
-        "parse_wikidata_sample": lambda: parse_wikidata_sample(wikidata),
-        "read_occurrences": lambda: read_occurrences(occurrences),
-        "read_scored_records": lambda: read_scored_records(scored, ontology),
-        "_read_json": lambda: _read_json(document, "document"),
-    }
-
-
-@pytest.mark.parametrize(
-    "reader",
-    [
-        "read_concept_table",
-        "parse_obo",
-        "parse_icd10",
-        "parse_wikidata_sample",
-        "read_occurrences",
-        "read_scored_records",
-        "_read_json",
-    ],
-)
-def test_readers_pause_the_cyclic_collector(tmp_path, reader):
-    call = _reader_calls(tmp_path)[reader]
-    collections = []
-
-    def record(phase, info):
-        if phase == "start":
-            collections.append(info["generation"])
-
-    gc.callbacks.append(record)
-    try:
-        result = call()
-    finally:
-        gc.callbacks.remove(record)
-    assert len(result) >= ROWS
-    assert collections == []
-    assert gc.isenabled()
-
-
-def test_rows_read_go_to_the_oldest_generation_and_frozen_objects_stay(tmp_path):
-    ontology = _reader_calls(tmp_path)["read_concept_table"]()
-    assert gc.get_count()[0] < 700
-    oldest = gc.get_objects(generation=2)
-    assert any(o is ontology for o in oldest) and any(o is ontology.concepts[-1] for o in oldest)
-    gc.freeze()
-    try:
-        frozen = gc.get_freeze_count()
-        _reader_calls(tmp_path)["read_occurrences"]()
-        assert gc.get_freeze_count() == frozen
-    finally:
-        gc.unfreeze()
-
-
-def test_collector_pause_ends_on_error_and_keeps_a_caller_pause():
-    with pytest.raises(ParseError):
-        read_concept_table("source,id,label\nGO,GO:1,a\n")
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        read_concept_table("source,id,label\nGO,GO:0000001,a\n")
-        assert not gc.isenabled()
-    finally:
-        gc.enable()

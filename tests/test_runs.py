@@ -18,6 +18,7 @@ import pytest
 
 from conftest import GO_OBO, make_config, make_ontology, make_profile
 from ontoprobe import (
+    Concept,
     ConfigurationError,
     DegenerateInputError,
     HallucinationStyle,
@@ -448,7 +449,7 @@ class TestAnalyze:
         }
         assert "rho" in analysis["spearman"]
 
-    @pytest.mark.parametrize("option", ["lag", "permutations", "top_k"])
+    @pytest.mark.parametrize("option", ["buckets", "lag", "permutations", "top_k"])
     def test_count_option_below_one_rejected_before_any_work(self, tmp_path, option):
         ontology = make_ontology(30)
         concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
@@ -727,6 +728,31 @@ class TestInvarianceRun:
         assert calls == [("_spearman", True)] * 3
         assert multiprocessing.active_children() == []
 
+    def test_degenerate_statistic_leaves_no_reference_cycle(self, tmp_path):
+        # The worker's DegenerateInputError, re-raised in the caller, must
+        # not tie the stage's frames (and so its ontology) into a cycle:
+        # under the CLI's collector pause that would keep them to the end.
+        ontology, concepts_path, occurrences_path, _ = self._setup(tmp_path, n=60)
+        profile = make_profile(ontology, recall=1.0)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.garbage.clear()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_invariance(concepts_path, make_config(), occurrences_path, tmp_path / "inv", strategies=("PI1",),
+                           buckets=4, k_sample=5, permutations=100, profile=profile)
+            gc.collect()
+            held = [o for o in gc.garbage if isinstance(o, Concept)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        report = json.loads((tmp_path / "inv" / "invariance_report.json").read_text(encoding="utf-8"))
+        assert report["strategies"]["PI1"]["avpi_accuracy_spearman"] == {"error": "constant series has no rank variance"}
+        assert held == []
+
     def test_strategy_subset(self, tmp_path):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=20)
         run_invariance(
@@ -758,10 +784,11 @@ class TestInvarianceRun:
                 profile=profile,
             )
 
-    def test_zero_permutations_rejected_before_any_call(self, tmp_path):
+    @pytest.mark.parametrize("option", ["permutations", "buckets", "k_sample"])
+    def test_zero_permutations_rejected_before_any_call(self, tmp_path, option):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=6)
-        with pytest.raises(ConfigurationError, match="--permutations must be positive"):
-            run_invariance(concepts_path, make_config(), occurrences_path, tmp_path / "inv", permutations=0, profile=profile)
+        with pytest.raises(ConfigurationError, match=f"--{option.replace('_', '-')} must be positive"):
+            run_invariance(concepts_path, make_config(), occurrences_path, tmp_path / "inv", profile=profile, **{option: 0})
         assert not (tmp_path / "inv").exists()
 
     def test_single_repeat_rejected_before_any_call(self, tmp_path):
