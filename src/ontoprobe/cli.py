@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ingest.add_argument("--kind", required=True, type=str.lower, choices=KINDS)
     p_ingest.add_argument("--universe", dest="universe_path", help="full ID universe CSV (WIKIDATA only)")
-    p_ingest.add_argument("--max-code-chars", type=int, help="ICD-10 code length cutoff (default 4)")
+    p_ingest.add_argument("--max-code-chars", type=int, help="ICD-10 code length cutoff (ICD10 only; default 4)")
     p_ingest.add_argument("--out", required=True, dest="out_dir", help="output directory")
 
     p_probe = add_parser("probe", help="query a model for every concept and score the answers")

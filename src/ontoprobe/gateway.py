@@ -568,35 +568,55 @@ def _delta_seconds(retry_after: str | None) -> float | None:
     return float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
 
 
-def _synthetic_inputs_json(seed, profile: SyntheticProfile) -> str:
-    """What `json.dumps({"seed": seed, "profile": profile.to_dict()},
-    sort_keys=True)` writes.
+def _profile_json(profile: SyntheticProfile, indent: bool = False) -> str:
+    """What `json.dumps(profile.to_dict(), sort_keys=True)` writes; with
+    `indent`, what `simulate` writes to profile.json: the same with indent=2
+    and a trailing newline.
 
-    Each concept row is built from one template. That writes what json.dumps
-    does only for a str ID, a float recall (finite, being within [0,1]) and
-    an int popularity; a profile holding other types is dumped whole. The
-    few values outside the rows go through json.dumps.
+    Each concept row and universe ID is built from one template. That writes
+    what json.dumps does only for a str ID, a float recall (finite, being
+    within [0,1]) and an int popularity; a profile holding other types is
+    dumped whole. The two scalars outside the rows go through json.dumps.
     """
     curve = profile.memorization_curve
     ids = sorted(curve)
     popularity = [profile.popularity.get(cid, 0) for cid in ids]
+    universe = None if profile.universe is None else sorted(profile.universe)
+    newline = "\n" if indent else ""
     if not (
         set(map(type, ids)) <= {str}
         and set(map(type, curve.values())) <= {float}
         and set(map(type, popularity)) <= {int}
+        and set(map(type, universe or ())) <= {str}
     ):
-        return json.dumps({"seed": seed, "profile": profile.to_dict()}, sort_keys=True)
-    rows = ", ".join(
-        f'{{"id": {encode_basestring_ascii(cid)}, "popularity": {count!r}, "recall": {curve[cid]!r}}}'
+        return json.dumps(profile.to_dict(), indent=2 if indent else None, sort_keys=True) + newline
+    # What opens a value's items at each nesting depth, and what separates them.
+    opens = ["\n" + "  " * depth for depth in range(4)] if indent else [""] * 4
+    seps = ["," + pad for pad in opens] if indent else [", "] * 4
+    head, mid, tail = f'{{{opens[3]}"id": ', f'{seps[3]}"popularity": ', f'{seps[3]}"recall": '
+    end = f"{opens[2]}}}"
+
+    def array(items: list[str]) -> str:
+        return f"[{opens[2]}{seps[2].join(items)}{opens[1]}]" if items else "[]"
+
+    rows = array([
+        f"{head}{encode_basestring_ascii(cid)}{mid}{count!r}{tail}{curve[cid]!r}{end}"
         for cid, count in zip(ids, popularity)
-    )
-    universe = "" if profile.universe is None else f', "universe": {json.dumps(sorted(profile.universe))}'
-    return (
-        f'{{"profile": {{"concepts": [{rows}], '
-        f'"hallucination_style": {json.dumps(profile.hallucination_style.value)}, '
-        f'"temperature_sensitivity": {json.dumps(profile.temperature_sensitivity, sort_keys=True)}{universe}}}, '
-        f'"seed": {json.dumps(seed, sort_keys=True)}}}'
-    )
+    ])
+    fields = [
+        f'"concepts": {rows}',
+        f'"hallucination_style": {json.dumps(profile.hallucination_style.value)}',
+        f'"temperature_sensitivity": {json.dumps(profile.temperature_sensitivity)}',
+    ]
+    if universe is not None:
+        fields.append(f'"universe": {array(list(map(encode_basestring_ascii, universe)))}')
+    return f"{{{opens[1]}{seps[1].join(fields)}{opens[0]}}}{newline}"
+
+
+def _synthetic_inputs_json(seed, profile: SyntheticProfile) -> str:
+    """What `json.dumps({"seed": seed, "profile": profile.to_dict()},
+    sort_keys=True)` writes."""
+    return f'{{"profile": {_profile_json(profile)}, "seed": {json.dumps(seed, sort_keys=True)}}}'
 
 
 class ModelGateway:

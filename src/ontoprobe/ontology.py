@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from collections import Counter
 from enum import Enum
@@ -337,15 +338,13 @@ def write_concept_table(ontology: Ontology) -> str:
     sorted order with an empty label, so the universe survives the
     round trip.
     """
+    kind = ontology.kind.value
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CANONICAL_HEADER)
-    concept_ids = set()
-    for concept in ontology.concepts:
-        writer.writerow([ontology.kind.value, concept.id, concept.label])
-        concept_ids.add(concept.id)
-    for extra in sorted(ontology.universe - concept_ids):
-        writer.writerow([ontology.kind.value, extra, ""])
+    csv.writer(buf, lineterminator="\n").writerows(itertools.chain(
+        [CANONICAL_HEADER],
+        [(kind, concept.id, concept.label) for concept in ontology.concepts],
+        [(kind, extra, "") for extra in sorted(ontology.universe.difference(ontology.id_index))],
+    ))
     return buf.getvalue()
 
 

@@ -34,6 +34,7 @@ from .gateway import (
     Provider,
     ResponseCache,
     SyntheticProfile,
+    _profile_json,
     _read_json,
 )
 from .metrics import (
@@ -237,19 +238,31 @@ def run_ingest(
     kind: str,
     out_dir: str | Path,
     universe_path: str | Path | None = None,
-    max_code_chars: int = 4,
+    max_code_chars: int | None = None,
 ) -> RunManifest:
-    """Convert a source resource into the canonical concept table."""
+    """Convert a source resource into the canonical concept table.
+
+    `universe_path` is for WIKIDATA only and `max_code_chars` (default 4)
+    for ICD10 only; either given with another kind is refused.
+    """
     source_path = Path(source_path)
     out_dir = Path(out_dir)
     kind_enum = OntologyKind(kind.upper())
+    if universe_path is not None and kind_enum is not OntologyKind.WIKIDATA:
+        raise ConfigurationError(f"--universe applies only to --kind wikidata, not {kind_enum.value.lower()}")
+    if max_code_chars is None:
+        max_code_chars = 4
+    elif kind_enum is not OntologyKind.ICD10:
+        raise ConfigurationError(f"--max-code-chars applies only to --kind icd10, not {kind_enum.value.lower()}")
+    elif max_code_chars < 0:
+        raise ConfigurationError("--max-code-chars must be non-negative")
     text = _read_text(source_path)
     if kind_enum in (OntologyKind.GO, OntologyKind.UBERON):
         ontology = parse_obo(text, kind_enum.value)
     elif kind_enum is OntologyKind.ICD10:
         ontology = parse_icd10(text, max_code_chars=max_code_chars)
     else:
-        universe_text = _read_text(universe_path) if universe_path else None
+        universe_text = None if universe_path is None else _read_text(universe_path)
         ontology = parse_wikidata_sample(text, universe_text)
 
     concepts_path = out_dir / "concepts.csv"
@@ -641,8 +654,13 @@ def run_simulate(
     """
     out_dir = Path(out_dir)
     _require_positive(size=size)
-    if max_exponent <= 0:
-        raise ConfigurationError("--max-exponent must be positive")
+    try:
+        # Counts are drawn as 10 ** uniform(0, max_exponent), so their top must be a float.
+        in_range = max_exponent > 0 and math.isfinite(10.0**max_exponent)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ConfigurationError("--max-exponent must be positive, and small enough that 10 ** it is a finite float")
     style = HallucinationStyle(hallucination_style.upper())
     if not 0 <= temperature_sensitivity < math.inf:
         raise ConfigurationError("--temperature-sensitivity must be finite and non-negative")
@@ -685,7 +703,7 @@ def run_simulate(
     config_path = out_dir / "model_config.json"
     atomic_write_text(concepts_path, write_concept_table(ontology))
     atomic_write_text(occurrences_path, write_occurrences(occurrence_records))
-    _write_json(profile_path, profile.to_dict())
+    atomic_write_text(profile_path, _profile_json(profile, indent=True))
     _write_json(config_path, model_config)
     return _finish_run(
         out_dir,

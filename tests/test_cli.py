@@ -165,6 +165,44 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_ingest_flags_of_another_kind_exit_two_naming_the_first(self, tmp_path, capsys, go_obo_text):
+        source, universe, out = tmp_path / "go.obo", tmp_path / "u.txt", tmp_path / "out"
+        source.write_text(go_obo_text, encoding="utf-8")
+        universe.write_text("GO:0000001\n", encoding="utf-8")
+        flags = ("--universe", str(universe), "--max-code-chars", "2")
+        assert run_cli("ingest", "--source", str(source), "--kind", "go", *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --universe applies only to --kind wikidata, not go\n"
+        assert run_cli("ingest", "--source", str(source), "--kind", "go", *flags[2:], "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --max-code-chars applies only to --kind icd10, not go\n"
+        assert not out.exists()
+
+    def test_ingest_missing_universe_with_go_exits_two_before_any_write(self, tmp_path, capsys, go_obo_text):
+        source, out = tmp_path / "go.obo", tmp_path / "out"
+        source.write_text(go_obo_text, encoding="utf-8")
+        code = run_cli(
+            "ingest", "--source", str(source), "--kind", "go", "--universe", str(tmp_path / "nope.txt"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --universe applies only to --kind wikidata, not go\n"
+        assert not out.exists()
+
+    def test_ingest_empty_universe_path_exits_two_before_any_write(self, tmp_path, capsys, wikidata_csv_text):
+        source, out = tmp_path / "sample.csv", tmp_path / "out"
+        source.write_text(wikidata_csv_text, encoding="utf-8")
+        code = run_cli("ingest", "--source", str(source), "--kind", "wikidata", "--universe", "", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_ingest_negative_max_code_chars_exits_two_naming_the_flag(self, tmp_path, capsys, icd_csv_text):
+        source, out = tmp_path / "icd.csv", tmp_path / "out"
+        source.write_text(icd_csv_text, encoding="utf-8")
+        code = run_cli("ingest", "--source", str(source), "--kind", "icd10", "--max-code-chars", "-1", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --max-code-chars must be non-negative\n"
+        assert not out.exists()
+
     def test_missing_model_config(self, tmp_path, capsys):
         ontology = make_ontology(3)
         concepts_path, _ = write_corpus(tmp_path, ontology)

@@ -496,10 +496,15 @@ def synthetic_profiles(draw):
     ),
     seed=-1,
 )
+@example(profile=SyntheticProfile({}, universe=frozenset()), seed=0)
+@example(profile=SyntheticProfile({"GO:0000001": 1, "\u2028": True}, popularity={"\u2028": 2.5}), seed=0)
 def test_synthetic_identity_equals_reference(profile, seed):
-    """The identity as first defined: sha256 of one json.dumps of seed and profile."""
+    """The identity as first defined: sha256 of one json.dumps of seed and
+    profile. The same rows also write the profile file as json.dumps indents it."""
     expected = json.dumps({"seed": seed, "profile": profile.to_dict()}, sort_keys=True)
     assert gateway_module._synthetic_inputs_json(seed, profile) == expected
+    file_text = json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert gateway_module._profile_json(profile, indent=True) == file_text
     # A model config takes only an integer seed; a gateway hashes those inputs.
     if type(seed) is int:
         gateway = ModelGateway(ModelConfig(Provider.SYNTHETIC, "m", seed=seed), profile=profile)

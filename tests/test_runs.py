@@ -904,8 +904,10 @@ class TestSimulate:
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ConfigurationError, match="size"):
             run_simulate(tmp_path / "x", size=0)
-        with pytest.raises(ConfigurationError, match="max-exponent"):
-            run_simulate(tmp_path / "x", max_exponent=0.0)
+        # 10 ** 400.0 overflows, 10 ** inf is no finite count and NaN is no exponent.
+        for exponent in (0.0, float("inf"), float("nan"), 400.0):
+            with pytest.raises(ConfigurationError, match="^--max-exponent must be positive"):
+                run_simulate(tmp_path / "x", max_exponent=exponent)
         with pytest.raises(ValueError):
             run_simulate(tmp_path / "x", hallucination_style="WILD")
         for sensitivity in (-1.0, float("inf"), float("nan")):
