@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument("--buckets", type=int)
     p_analyze.add_argument("--lag", type=int)
-    p_analyze.add_argument("--permutations", type=int)
+    p_analyze.add_argument(
+        "--permutations", type=int, help="Spearman permutations (default 10000); memory does not grow with it"
+    )
     p_analyze.add_argument("--top-k", type=int)
     p_analyze.add_argument("--allow-missing", action="store_true", help="drop scored concepts lacking an occurrence row")
     p_analyze.add_argument("--seed", type=int)
@@ -92,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--strategies", nargs="+", type=str.upper, choices=[strategy.value for strategy in Strategy])
     p_inv.add_argument("--buckets", type=int)
     p_inv.add_argument("--k-sample", type=int, help="concepts sampled per bucket")
-    p_inv.add_argument("--repeats", type=int, dest="m_repeats", help="repetitions per concept for PI1")
-    p_inv.add_argument("--permutations", type=int)
+    p_inv.add_argument("--repeats", type=int, dest="m_repeats", help="repetitions per concept (PI1 only; default 10)")
+    p_inv.add_argument(
+        "--permutations", type=int, help="Spearman permutations (default 10000); memory does not grow with it"
+    )
     p_inv.add_argument("--style", type=str.upper, choices=STYLES)
     p_inv.add_argument("--cache", dest="cache_path", help="response cache path (default <out>/cache.ndjson)")
     p_inv.add_argument("--seed", type=int)

@@ -528,7 +528,7 @@ def run_invariance(
     strategies: tuple[str, ...] = ("PI1", "PI2", "PI3"),
     buckets: int = 50,
     k_sample: int = 20,
-    m_repeats: int = 10,
+    m_repeats: int | None = None,
     permutations: int = 10000,
     seed: int = 0,
     style: str | None = None,
@@ -541,10 +541,20 @@ def run_invariance(
     Writes one record file per strategy plus a report correlating AvPI
     with answer-level accuracy across buckets. A constant AvPI series
     (PI1 against a deterministic model) has no rank correlation; the
-    report records that reason instead of a coefficient.
+    report records that reason instead of a coefficient. `m_repeats`
+    (default 10) is for PI1 only; given without PI1 it is refused.
     """
     out_dir = Path(out_dir)
     _require_positive(buckets=buckets, k_sample=k_sample, permutations=permutations)
+    chosen = [inv.Strategy(s.upper()) for s in strategies]
+    if not chosen:
+        raise ConfigurationError("no invariance strategies selected")
+    if m_repeats is None:
+        m_repeats = 10
+    elif inv.Strategy.PI1 not in chosen:
+        raise ConfigurationError("--repeats applies only when --strategies includes PI1")
+    elif m_repeats < 2:
+        raise ConfigurationError("--repeats must be at least 2")
     # The permutation tests run in a worker process that loads numpy while
     # this one reads the inputs and runs the batches; it forks before the
     # gateway starts a thread. Spearman needs no scipy.
@@ -553,11 +563,6 @@ def run_invariance(
             config = ModelConfig.from_file(config)
         ontology = load_ontology(ontology_path)
         occurrences = _load_occurrences(occurrence_path)
-        chosen = [inv.Strategy(s.upper()) for s in strategies]
-        if not chosen:
-            raise ConfigurationError("no invariance strategies selected")
-        if inv.Strategy.PI1 in chosen and m_repeats < 2:
-            raise ConfigurationError("--repeats must be at least 2")
         prompt_style = _style_for(config, style)
 
         assignment = bucketize(occurrences, buckets)

@@ -28,9 +28,10 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-# Permutations are processed in blocks so a large n_permutations request
-# does not materialize one giant matrix.
-_PERMUTATION_BLOCK = 65536
+# Permutations are drawn a block of rows at a time into one buffer of
+# about this many bytes, refilled and shuffled in place, so a test's memory
+# grows neither with n_permutations nor, beyond one row, with the series.
+_PERMUTATION_BUDGET = 1 << 19
 
 
 class CorrelationResult(NamedTuple):
@@ -215,14 +216,21 @@ def _spearman(x, y, n_permutations: int, seed: int) -> CorrelationResult:
     # of y is exactly a permutation test on the raw series.
     rng = np.random.default_rng(seed)
     threshold = abs(rho)
+    scale = nx * ny
+    rows = min(n_permutations, max(1, _PERMUTATION_BUDGET // (8 * len(yc))))
+    buffer = np.empty((rows, len(yc)))
+    rho_perm = np.empty(rows)
     exceed = 0
-    remaining = n_permutations
-    while remaining > 0:
-        block = min(remaining, _PERMUTATION_BLOCK)
-        perms = rng.permuted(np.tile(yc, (block, 1)), axis=1)
-        rho_perm = perms @ xc / (nx * ny)
-        exceed += int(np.count_nonzero(np.abs(rho_perm) >= threshold))
-        remaining -= block
+    # permuted() shuffles row after row from one generator stream, so the
+    # draws do not depend on how the permutations are split into blocks.
+    for start in range(0, n_permutations, rows):
+        block = min(rows, n_permutations - start)
+        perms, rho_block = buffer[:block], rho_perm[:block]
+        perms[...] = yc
+        rng.permuted(perms, axis=1, out=perms)
+        np.matmul(perms, xc, out=rho_block)
+        rho_block /= scale
+        exceed += int(np.count_nonzero(np.abs(rho_block, out=rho_block) >= threshold))
     p_value = (1 + exceed) / (1 + n_permutations)
     return CorrelationResult(rho, p_value, n_permutations, seed)
 

@@ -203,6 +203,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --max-code-chars must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("repeats", ["10", "7", "-5"])
+    def test_invariance_repeats_without_pi1_exits_two_before_any_work(self, tmp_path, capsys, repeats):
+        sim, out = tmp_path / "sim", tmp_path / "inv"
+        assert run_cli("simulate", "--size", "40", "--out", str(sim)) == 0
+        code = run_cli(
+            "invariance", "--ontology", str(sim / "concepts.csv"), "--model-config", str(sim / "model_config.json"),
+            "--occurrences", str(sim / "occurrences.csv"), "--strategies", "PI2", "--repeats", repeats,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --repeats applies only when --strategies includes PI1\n"
+        assert not out.exists()
+
+    def test_invariance_without_repeats_records_ten(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "inv"
+        assert run_cli("simulate", "--size", "40", "--out", str(sim)) == 0
+        code = run_cli(
+            "invariance", "--ontology", str(sim / "concepts.csv"), "--model-config", str(sim / "model_config.json"),
+            "--occurrences", str(sim / "occurrences.csv"), "--strategies", "PI2", "--buckets", "4", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["parameters"]["m_repeats"] == 10
+
     def test_missing_model_config(self, tmp_path, capsys):
         ontology = make_ontology(3)
         concepts_path, _ = write_corpus(tmp_path, ontology)

@@ -9,9 +9,13 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from ontoprobe import DegenerateInputError, granger_f, spearman, stats
@@ -84,6 +88,71 @@ class TestSpearmanPValue:
         y = x + rng.normal(size=20)
         small = spearman(x, y, n_permutations=70000, seed=3)
         assert 0.0 < small.p_value <= 1.0
+
+
+def tile_and_permute(x, y, n_permutations: int, seed: int) -> stats.CorrelationResult:
+    """The permutation test as it was computed before the fixed-size
+    buffer: blocks of up to 65,536 rows, each tiled from y's centred ranks
+    and permuted into a copy."""
+    rx = stats._average_ranks(np.asarray(x, dtype=float))
+    ry = stats._average_ranks(np.asarray(y, dtype=float))
+    xc, yc = rx - rx.mean(), ry - ry.mean()
+    nx, ny = float(np.sqrt(xc @ xc)), float(np.sqrt(yc @ yc))
+    rho = float((xc @ yc) / (nx * ny))
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    remaining = n_permutations
+    while remaining > 0:
+        block = min(remaining, 65536)
+        perms = rng.permuted(np.tile(yc, (block, 1)), axis=1)
+        rho_perm = perms @ xc / (nx * ny)
+        exceed += int(np.count_nonzero(np.abs(rho_perm) >= abs(rho)))
+        remaining -= block
+    return stats.CorrelationResult(rho, (1 + exceed) / (1 + n_permutations), n_permutations, seed)
+
+
+@st.composite
+def permutation_tests(draw):
+    """(x, y, rows per block or None for the default budget, n_permutations):
+    tied series of 3 to 64 points, and counts around the block boundary."""
+    n = draw(st.integers(min_value=3, max_value=64))
+    series = st.lists(st.integers(min_value=0, max_value=4).map(float), min_size=n, max_size=n)
+    x = draw(series.filter(lambda s: len(set(s)) > 1))
+    y = draw(series.filter(lambda s: len(set(s)) > 1))
+    rows = draw(st.sampled_from([1, 3, None]))
+    block = max(1, stats._PERMUTATION_BUDGET // (8 * n)) if rows is None else rows
+    boundary = st.sampled_from([block - 1, block, block + 1, 2 * block + 1]).filter(lambda k: k >= 1)
+    n_permutations = draw(st.one_of(boundary, st.integers(min_value=1, max_value=min(3 * block + 1, 400))))
+    return x, y, rows, n_permutations
+
+
+class TestSpearmanKernel:
+    """The fixed-size buffer gives the p-values of tiled, copied blocks,
+    in a memory that does not grow with the permutation count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=permutation_tests(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # At n = 3 a third of the draws leave the series as they were, so
+    # |rho_perm| equals the threshold exactly; 70,001 crosses the old block.
+    @example(case=([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], None, 70001), seed=0)
+    @example(case=([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 1, 7), seed=5)
+    def test_fixed_buffer_gives_the_tile_and_permute_result(self, case, seed):
+        x, y, rows, n_permutations = case
+        budget = stats._PERMUTATION_BUDGET if rows is None else 8 * len(x) * rows
+        with mock.patch.object(stats, "_PERMUTATION_BUDGET", budget):
+            result = stats._spearman(x, y, n_permutations, seed)
+        assert result == tile_and_permute(x, y, n_permutations, seed)
+
+    def test_memory_does_not_grow_with_the_permutation_count(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=50), rng.normal(size=50)
+        tracemalloc.start()
+        try:
+            stats._spearman(x, y, 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSpearmanValidation:
