@@ -27,10 +27,10 @@ import os
 import random
 import re
 import string
+import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from enum import Enum
 from json.decoder import scanstring
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -46,6 +46,17 @@ API_KEY_ENV = "ONTOPROBE_API_KEY"
 
 # json.loads joins an escaped pair, so a surrogate left in a str is unpaired.
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def __getattr__(name: str):
+    """`ThreadPoolExecutor` is imported on first access (PEP 562): only a
+    pooled HTTP batch needs it, and concurrent.futures imports logging. It
+    stays a module attribute, read when a pool starts, so it can be rebound."""
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Provider(str, Enum):
@@ -705,7 +716,9 @@ class ModelGateway:
             for miss in misses:
                 work(*miss)
             return results
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+        from concurrent.futures import as_completed
+
+        with sys.modules[__name__].ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
             futures = [pool.submit(work, *miss) for miss in misses]
             for future in as_completed(futures):
                 future.result()

@@ -338,14 +338,34 @@ def write_concept_table(ontology: Ontology) -> str:
     sorted order with an empty label, so the universe survives the
     round trip.
     """
-    kind = ontology.kind.value
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(itertools.chain(
-        [CANONICAL_HEADER],
-        [(kind, concept.id, concept.label) for concept in ontology.concepts],
-        [(kind, extra, "") for extra in sorted(ontology.universe.difference(ontology.id_index))],
-    ))
-    return buf.getvalue()
+    concepts = ontology.concepts
+    return _concept_table_text(
+        ontology.kind,
+        [concept.id for concept in concepts],
+        [concept.label for concept in concepts],
+        sorted(ontology.universe.difference(ontology.id_index)),
+    )
+
+
+def _concept_table_text(kind: OntologyKind, ids: list[str], labels: list[str], extra_ids: list[str]) -> str:
+    """The canonical concept table of concept rows (`ids` with their `labels`)
+    followed by universe-only rows (`extra_ids`, empty label), unchecked.
+
+    The csv writer quotes a field holding "\n", its line terminator, but not
+    one holding "\r", which its reader refuses outside quotes; so a table
+    holding "\r" is written again with every field quoted.
+    """
+    def text(quoting: int) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(itertools.chain(
+            [CANONICAL_HEADER],
+            zip(itertools.repeat(kind.value), ids, labels),
+            [(kind.value, extra, "") for extra in extra_ids],
+        ))
+        return buf.getvalue()
+
+    minimal = text(csv.QUOTE_MINIMAL)
+    return text(csv.QUOTE_ALL) if "\r" in minimal else minimal
 
 
 def read_concept_table(text: str) -> Ontology:

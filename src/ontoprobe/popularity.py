@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -89,12 +90,13 @@ def read_occurrences(text: str) -> list[OccurrenceRecord]:
     return records
 
 
-def write_occurrences(records: list[OccurrenceRecord]) -> str:
+def write_occurrences(records: Iterable[tuple[str, str, int]]) -> str:
+    """The `source,id,occurrences` CSV of `(concept_id, source_tag, count)`
+    triples, such as OccurrenceRecords, in their order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(OCCURRENCE_HEADER)
-    for r in records:
-        writer.writerow([r.source_tag, r.concept_id, r.count])
+    writer.writerows((source_tag, concept_id, count) for concept_id, source_tag, count in records)
     return buf.getvalue()
 
 

@@ -14,6 +14,7 @@ between a fresh run and a resumed one.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -51,9 +52,9 @@ from .metrics import (
     write_scored_records,
 )
 from .ontology import (
-    Concept,
     Ontology,
     OntologyKind,
+    _concept_table_text,
     parse_icd10,
     parse_obo,
     parse_wikidata_sample,
@@ -264,6 +265,12 @@ def run_ingest(
     else:
         universe_text = None if universe_path is None else _read_text(universe_path)
         ontology = parse_wikidata_sample(text, universe_text)
+    if not ontology.concepts:
+        found = ""
+        if kind_enum in (OntologyKind.GO, OntologyKind.UBERON):
+            prefixes = sorted({term_id.partition(":")[0] for term_id in ontology.universe})
+            found = f"; its [Term] IDs have the prefixes {', '.join(prefixes)}" if prefixes else "; it has no [Term] IDs"
+        raise ConfigurationError(f"{source_path} holds no {kind_enum.value} concept{found}")
 
     concepts_path = out_dir / "concepts.csv"
     atomic_write_text(concepts_path, write_concept_table(ontology))
@@ -659,6 +666,8 @@ def run_simulate(
     """
     out_dir = Path(out_dir)
     _require_positive(size=size)
+    if size > 9_999_999:
+        raise ConfigurationError("--size must be at most 9999999, as GO IDs have seven digits")
     try:
         # Counts are drawn as 10 ** uniform(0, max_exponent), so their top must be a float.
         in_range = max_exponent > 0 and math.isfinite(10.0**max_exponent)
@@ -671,27 +680,15 @@ def run_simulate(
         raise ConfigurationError("--temperature-sensitivity must be finite and non-negative")
 
     derived = {label: derive_seed(seed, label) for label in ("simulate-counts", "synthetic-model")}
-    rng = random.Random(derived["simulate-counts"])
-    concepts = []
-    occurrence_records = []
-    counts = []
-    for i in range(1, size + 1):
-        concept_id = f"GO:{i:07d}"
-        concepts.append(Concept(concept_id, f"synthetic concept {i:07d}", OntologyKind.GO))
-        counts.append(max(1, round(10 ** rng.uniform(0.0, max_exponent))))
+    uniform = random.Random(derived["simulate-counts"]).uniform
+    numbers = [f"{i:07d}" for i in range(1, size + 1)]
+    ids = ["GO:" + number for number in numbers]
+    counts = [max(1, round(10 ** uniform(0.0, max_exponent))) for _ in range(size)]
     max_count = max(counts)
-    curve = {}
-    popularity = {}
-    for concept, count in zip(concepts, counts):
-        occurrence_records.append(OccurrenceRecord(concept.id, "synthetic", count))
-        curve[concept.id] = default_recall_curve(count, max_count)
-        popularity[concept.id] = count
-
-    ontology = Ontology(OntologyKind.GO, tuple(concepts), frozenset(c.id for c in concepts))
     profile = SyntheticProfile(
-        memorization_curve=curve,
+        memorization_curve=dict(zip(ids, [default_recall_curve(count, max_count) for count in counts])),
         hallucination_style=style,
-        popularity=popularity,
+        popularity=dict(zip(ids, counts)),
         temperature_sensitivity=temperature_sensitivity,
     )
     model_config = {
@@ -706,8 +703,9 @@ def run_simulate(
     occurrences_path = out_dir / "occurrences.csv"
     profile_path = out_dir / "profile.json"
     config_path = out_dir / "model_config.json"
-    atomic_write_text(concepts_path, write_concept_table(ontology))
-    atomic_write_text(occurrences_path, write_occurrences(occurrence_records))
+    labels = ["synthetic concept " + number for number in numbers]
+    atomic_write_text(concepts_path, _concept_table_text(OntologyKind.GO, ids, labels, []))
+    atomic_write_text(occurrences_path, write_occurrences(zip(ids, itertools.repeat("synthetic"), counts)))
     atomic_write_text(profile_path, _profile_json(profile, indent=True))
     _write_json(config_path, model_config)
     return _finish_run(

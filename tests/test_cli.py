@@ -203,6 +203,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --max-code-chars must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, prefixes", [("uberon", "GO"), ("go", "UBERON, ZFA")])
+    def test_ingest_obo_of_another_kind_exits_two_naming_the_prefixes(self, tmp_path, capsys, kind, prefixes):
+        source, out = tmp_path / "terms.obo", tmp_path / "out"
+        ids = ["GO:0000001", "GO:0000002"] if kind == "uberon" else ["UBERON:0000001", "ZFA:0000001"]
+        source.write_text("".join(f"[Term]\nid: {i}\nname: term {i}\n\n" for i in ids), encoding="utf-8")
+        assert run_cli("ingest", "--source", str(source), "--kind", kind, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {source} holds no {kind.upper()} concept; its [Term] IDs have the prefixes {prefixes}\n"
+        assert not out.exists()
+
+    def test_ingest_source_without_a_concept_exits_two(self, tmp_path, capsys):
+        source, out = tmp_path / "icd.csv", tmp_path / "out"
+        source.write_text("code,label\nA01.123,long code\n", encoding="utf-8")
+        assert run_cli("ingest", "--source", str(source), "--kind", "icd10", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {source} holds no ICD10 concept\n"
+        assert not out.exists()
+
+    def test_simulate_size_beyond_seven_digit_ids_exits_two_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--size", "10000000", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --size must be at most 9999999, as GO IDs have seven digits\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("repeats", ["10", "7", "-5"])
     def test_invariance_repeats_without_pi1_exits_two_before_any_work(self, tmp_path, capsys, repeats):
         sim, out = tmp_path / "sim", tmp_path / "inv"
@@ -572,8 +595,12 @@ class TestImportPath:
         # gateway's first HTTP attempt loads http.client and ssl, lazily.
         # requests and urllib3 are never used. Records are NamedTuples, so
         # no class generates code at import and dataclasses, with the
-        # inspect, ast and dis it loads, stays out.
-        heavy = "{'numpy', 'scipy', 'requests', 'urllib3', 'http.client', 'ssl', 'dataclasses', 'inspect', 'ast', 'dis'}"
+        # inspect, ast and dis it loads, stays out. Only a pooled HTTP batch
+        # loads concurrent.futures, which imports logging.
+        heavy = (
+            "{'numpy', 'scipy', 'requests', 'urllib3', 'http.client', 'ssl', 'dataclasses', 'inspect', 'ast', 'dis',"
+            " 'concurrent', 'logging'}"
+        )
         result = subprocess.run(
             [
                 sys.executable,

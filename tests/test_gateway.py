@@ -800,6 +800,28 @@ class TestBatch:
         assert 1 <= state["max_active"] <= 3
 
 
+    def test_http_batch_starts_the_pool_class_bound_on_the_module(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        assert gateway_module.ThreadPoolExecutor is ThreadPoolExecutor
+        with pytest.raises(AttributeError):
+            gateway_module.NoSuchName
+        started = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "ThreadPoolExecutor", CountingPool)
+        ontology = make_ontology(6)
+        transport = ScriptedTransport([(200, _openai_chat_body("GO:0000001"))])
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=3)
+        gateway = ModelGateway(config, transport=transport, sleep_fn=lambda s: None)
+        responses = gateway.complete_batch([(chat_prompt(c), 0, None) for c in ontology.concepts])
+        assert started == [3]
+        assert [r.raw_text for r in responses] == ["GO:0000001"] * 6
+
     def test_synthetic_batch_never_uses_pool(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a SYNTHETIC batch must not start worker threads")

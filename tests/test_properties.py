@@ -1,13 +1,18 @@
 """Properties that hold for every input: ID extraction and canonicalisation,
-NDJSON round trips and encodings, edit distance, bucketing, response-cache
-keys and lines, completion cues, and the numpy/scipy.special statistics
-against their scipy.stats references."""
+NDJSON and concept-table round trips and encodings, edit distance, bucketing,
+response-cache keys and lines, completion cues, `simulate`'s files against a
+record-built reference, and the numpy/scipy.special statistics against their
+scipy.stats references."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
+import io
+import itertools
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -43,18 +48,26 @@ from ontoprobe import (
     cache_key,
     canonical_icd10,
     completion_cue,
+    default_recall_curve,
+    derive_seed,
     extract_id,
     granger_f,
     levenshtein,
     normalize_id,
+    normalize_label,
     pi_value,
+    read_concept_table,
     read_invariance_records,
+    read_occurrences,
     read_scored_records,
     render,
+    run_simulate,
     score,
     spearman,
     unique_answers,
+    write_concept_table,
     write_invariance_records,
+    write_occurrences,
     write_scored_records,
 )
 from ontoprobe import gateway as gateway_module
@@ -606,3 +619,104 @@ def test_completion_cue_of_template_equals_cue_of_prompt(label):
     for template in builtin_templates():
         concept = Concept(SAMPLE_IDS[template.ontology_kind], label, template.ontology_kind)
         assert completion_cue(template.text) == completion_cue(render(template, concept).text)
+
+
+# "\r" and "\n" inside a label, alone or paired, next to CSV's own specials.
+TABLE_LABELS = (
+    st.lists(st.one_of(st.characters(), AWKWARD_CHARS, st.sampled_from(["\r", "\r\n", "\n\r", ",", '""'])), min_size=1)
+    .map("".join)
+    .filter(str.strip)
+)
+
+
+def reference_concept_table(ontology: Ontology) -> str:
+    """The table as `write_concept_table` wrote it before it quoted "\r"."""
+    kind = ontology.kind.value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(itertools.chain(
+        [["source", "id", "label"]],
+        [(kind, concept.id, concept.label) for concept in ontology.concepts],
+        [(kind, extra, "") for extra in sorted(ontology.universe.difference(ontology.id_index))],
+    ))
+    return buf.getvalue()
+
+
+@BOUNDED
+@given(
+    kind=st.sampled_from([OntologyKind.GO, OntologyKind.WIKIDATA]),
+    labels=st.lists(TABLE_LABELS, min_size=1, max_size=6, unique_by=normalize_label),
+    extras=st.integers(min_value=0, max_value=2),
+)
+@example(kind=OntologyKind.GO, labels=["typhoid\rfever"], extras=0)
+@example(kind=OntologyKind.WIKIDATA, labels=["a\r", "\rb", "plain"], extras=1)
+def test_concept_table_round_trips(kind, labels, extras):
+    make_id = "GO:{:07d}".format if kind is OntologyKind.GO else "Q{}".format
+    concepts = tuple(Concept(make_id(i), label, kind) for i, label in enumerate(labels, start=1))
+    universe = frozenset([c.id for c in concepts] + [make_id(1000 + i) for i in range(extras)])
+    ontology = Ontology(kind, concepts, universe)
+    text = write_concept_table(ontology)
+    assert read_concept_table(text) == ontology
+    assert write_concept_table(read_concept_table(text)) == text
+    if not any("\r" in label for label in labels):
+        assert text == reference_concept_table(ontology)
+
+
+def reference_simulate_files(size, seed, max_exponent, style, sensitivity) -> dict[str, str]:
+    """The four files of `run_simulate` as its record-built loop wrote them:
+    one Concept and one OccurrenceRecord per concept, an Ontology, and the
+    record writers of the time."""
+    derived = {label: derive_seed(seed, label) for label in ("simulate-counts", "synthetic-model")}
+    rng = random.Random(derived["simulate-counts"])
+    concepts, occurrence_records, counts = [], [], []
+    for i in range(1, size + 1):
+        concepts.append(Concept(f"GO:{i:07d}", f"synthetic concept {i:07d}", OntologyKind.GO))
+        counts.append(max(1, round(10 ** rng.uniform(0.0, max_exponent))))
+    max_count = max(counts)
+    curve, popularity = {}, {}
+    for concept, count in zip(concepts, counts):
+        occurrence_records.append(OccurrenceRecord(concept.id, "synthetic", count))
+        curve[concept.id] = default_recall_curve(count, max_count)
+        popularity[concept.id] = count
+    ontology = Ontology(OntologyKind.GO, tuple(concepts), frozenset(c.id for c in concepts))
+    profile = SyntheticProfile(curve, style, popularity, sensitivity)
+    occurrences = io.StringIO()
+    writer = csv.writer(occurrences, lineterminator="\n")
+    writer.writerow(["source", "id", "occurrences"])
+    for r in occurrence_records:
+        writer.writerow([r.source_tag, r.concept_id, r.count])
+    model_config = {
+        "provider": "SYNTHETIC",
+        "model_name": "synthetic-memorizer",
+        "temperature": 0.0,
+        "seed": derived["synthetic-model"],
+        "profile_path": "profile.json",
+    }
+    return {
+        "concepts.csv": reference_concept_table(ontology),
+        "occurrences.csv": occurrences.getvalue(),
+        "profile.json": json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n",
+        "model_config.json": json.dumps(model_config, indent=2, sort_keys=True) + "\n",
+    }
+
+
+@BOUNDED
+@given(
+    size=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    max_exponent=st.one_of(st.floats(min_value=0.0, max_value=308.0, exclude_min=True), st.sampled_from([1e-300, 5.0])),
+    style=st.sampled_from(list(HallucinationStyle)),
+    sensitivity=st.one_of(st.floats(min_value=0.0, max_value=1e300), st.sampled_from([0.0, 0.5])),
+)
+@example(size=1, seed=0, max_exponent=5.0, style=HallucinationStyle.INVENTED, sensitivity=0.5)
+@example(size=400, seed=3, max_exponent=308.0, style=HallucinationStyle.NEAR_MISS, sensitivity=0.0)
+def test_simulate_equals_the_record_built_reference(size, seed, max_exponent, style, sensitivity):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        run_simulate(out, size, seed, max_exponent, style.value, sensitivity)
+        names = ("concepts.csv", "occurrences.csv", "profile.json", "model_config.json")
+        written = {name: (out / name).read_bytes().decode("utf-8") for name in names}
+    assert written == reference_simulate_files(size, seed, max_exponent, style, sensitivity)
+    ontology = read_concept_table(written["concepts.csv"])
+    records = read_occurrences(written["occurrences.csv"])
+    assert len(ontology.concepts) == len(ontology.universe) == len(records) == size
+    assert write_occurrences(records) == write_occurrences([tuple(r) for r in records]) == written["occurrences.csv"]
