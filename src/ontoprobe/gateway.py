@@ -262,13 +262,10 @@ class SyntheticProfile(_SyntheticProfileFields):
         return out
 
 
-def cache_key(provider: Provider, model_name: str, temperature: float, prompt_text: str, repetition_tag: int, identity: str) -> str:
-    """`identity` is the answering gateway's `ModelGateway.identity`."""
-    return _key_function(provider, model_name, identity)(temperature, prompt_text, repetition_tag)
-
-
 def _key_function(provider: Provider, model_name: str, identity: str):
-    """`cache_key` with one model's provider, name and identity bound.
+    """The response-cache key of a request to one model, as a function of
+    the request's temperature, prompt text and repetition tag. `identity`
+    is the answering gateway's `ModelGateway.identity`.
 
     The key is the sha256 of the UTF-8 JSON list [provider, model name,
     repr(temperature), prompt text, repetition tag, identity], as
@@ -695,16 +692,22 @@ class ModelGateway:
 
         Hits and the CPU-bound synthetic model run in the calling thread;
         only HTTP misses go to a pool of at most max_in_flight workers.
-        Returns responses in input order; an entry is None when that
-        request exhausted its transport retries. Configuration errors
-        abort the whole batch.
+        Each distinct missed key is dispatched once: a later request with
+        the same key (two concepts sharing a label) gets the first one's
+        answer as a cache hit, as a resumed run would. Returns responses in
+        input order; an entry is None when that request exhausted its
+        transport retries. Configuration errors abort the whole batch.
         """
         results: list[ModelResponse | None] = [None] * len(items)
-        misses = []
+        misses: dict[str, tuple] = {}  # missed key -> its first request, as work() takes it
+        repeats = []  # (index, index of the first request with its key)
         for index, (prompt, tag, temperature) in enumerate(items):
             key, temp, results[index] = self._lookup(prompt, tag, temperature)
             if results[index] is None:
-                misses.append((index, key, prompt, tag, temp))
+                if key in misses:
+                    repeats.append((index, misses[key][0]))
+                else:
+                    misses[key] = (index, key, prompt, tag, temp)
 
         def work(index: int, key: str, prompt: RenderedPrompt, tag: int, temp: float) -> None:
             try:
@@ -713,15 +716,18 @@ class ModelGateway:
                 pass
 
         if self.config.provider is Provider.SYNTHETIC or self.config.max_in_flight == 1 or len(misses) <= 1:
-            for miss in misses:
+            for miss in misses.values():
                 work(*miss)
-            return results
-        from concurrent.futures import as_completed
+        else:
+            from concurrent.futures import as_completed
 
-        with sys.modules[__name__].ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            futures = [pool.submit(work, *miss) for miss in misses]
-            for future in as_completed(futures):
-                future.result()
+            with sys.modules[__name__].ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+                futures = [pool.submit(work, *miss) for miss in misses.values()]
+                for future in as_completed(futures):
+                    future.result()
+        for index, first in repeats:
+            if results[first] is not None:
+                results[index] = results[first]._replace(latency=0.0, from_cache=True)
         return results
 
     def _lookup(

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .errors import ParseError
 from .extraction import completion_cue, extract_id
 from .gateway import ModelGateway
-from .metrics import _ndjson, _ndjson_lines, _read_row, is_correct
+from .metrics import is_correct
 from .ontology import Concept, Ontology
 from .popularity import BucketAssignment
 from .prompts import Language, PromptStyle, render, template_for
@@ -181,60 +181,16 @@ def aggregate_avpi(
 
 
 def write_invariance_records(records: list[InvarianceRecord]) -> str:
-    """Serialize invariance records as newline-delimited JSON."""
-    return _ndjson(
-        {
-            "strategy": r.strategy.value,
-            "source": r.concept.source.value,
-            "gold_id": r.concept.id,
-            "label": r.concept.label,
-            "m": r.m,
-            "answers": list(r.answers),
-            "u": r.u,
-            "pi": r.pi,
-        }
+    """Serialize invariance records as newline-delimited JSON.
+
+    Each line is what json.dumps(row, sort_keys=True, ensure_ascii=False)
+    writes for the row, built from one template with the strings
+    JSON-encoded in C, as `write_scored_records` builds its lines.
+    """
+    return "".join(
+        f'{{"answers": [{", ".join("null" if a is None else encode_basestring(a) for a in r.answers)}], '
+        f'"gold_id": {encode_basestring(r.concept.id)}, "label": {encode_basestring(r.concept.label)}, '
+        f'"m": {r.m}, "pi": {r.pi!r}, "source": {encode_basestring(r.concept.source.value)}, '
+        f'"strategy": {encode_basestring(r.strategy.value)}, "u": {r.u}}}\n'
         for r in records
     )
-
-
-_ANSWERS = "a list of strings or nulls"
-_INVARIANCE_FIELDS = (
-    ("strategy", (str,), "a string"),
-    ("source", (str,), "a string"),
-    ("gold_id", (str,), "a string"),
-    ("m", (int,), "an integer"),
-    ("answers", (list,), _ANSWERS),
-    ("u", (int,), "an integer"),
-    ("pi", (int, float), "a number"),
-)
-
-
-def read_invariance_records(text: str, ontology: Ontology) -> list[InvarianceRecord]:
-    """Parse an invariance run file back against its ontology; a row's source
-    must be the ontology's kind, m and u must count its answers and its
-    distinct answers, and pi must be pi_value(m, u)."""
-    records = []
-    for line_no, line in _ndjson_lines(text):
-        try:
-            row = _read_row(line, _INVARIANCE_FIELDS)
-            if row["source"] != ontology.kind.value:
-                raise ValueError(f"source is {row['source']}, ontology is {ontology.kind.value}")
-            answers = tuple(row["answers"])
-            if any(answer is not None and type(answer) is not str for answer in answers):
-                raise ValueError(f"answers must be {_ANSWERS}, got {row['answers']!r}")
-            if row["m"] != len(answers):
-                raise ValueError(f"m is {row['m']} for {len(answers)} answers")
-            if row["u"] != unique_answers(answers):
-                raise ValueError(f"u is {row['u']} for {unique_answers(answers)} distinct answers")
-            # The writer's float round-trips exactly, so equality is the test.
-            if row["pi"] != pi_value(row["m"], row["u"]):
-                raise ValueError(f"pi is {row['pi']} for m={row['m']}, u={row['u']}")
-            concept = ontology.id_index.get(row["gold_id"])
-            if concept is None:
-                raise KeyError(f"unknown concept {row['gold_id']}")
-            records.append(
-                InvarianceRecord(concept, Strategy(row["strategy"]), row["m"], answers, row["u"], float(row["pi"]))
-            )
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"invariance run: line {line_no} is malformed: {exc}") from exc
-    return records

@@ -198,24 +198,12 @@ def repeated_id_counts(records: list[ProbeRecord]) -> list[tuple[str, int]]:
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _ndjson(rows) -> str:
-    """One sorted-key JSON object per line, non-ASCII kept as is."""
-    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
-
-
-def _ndjson_lines(text: str):
-    """(line number, line) per non-blank line, split at newlines only: `_ndjson`
-    leaves U+2028, U+2029 and U+0085 unescaped, and splitlines() breaks there."""
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line.strip():
-            yield line_no, line
-
-
 def write_scored_records(records: list[ProbeRecord]) -> str:
     """Serialize records as newline-delimited JSON, one object per line.
 
-    Each line is what `_ndjson` writes for the row (sorted keys, non-ASCII
-    as is), built from one template with the strings JSON-encoded in C.
+    Each line is what json.dumps(row, sort_keys=True, ensure_ascii=False)
+    writes for the row, built from one template with the strings
+    JSON-encoded in C.
     """
     return "".join(
         f'{{"correct": {"true" if r.correct else "false"}, "gold_id": {encode_basestring(r.concept.id)}, '
@@ -238,20 +226,6 @@ def _scan_line(line: str):
     except (StopIteration, ValueError):
         return None
     return value if end == len(line) else None
-
-
-def _read_row(line: str, fields, **defaults) -> dict:
-    """The JSON object on `line` over `defaults`, each of `fields` (name, types,
-    their wording) holding exactly one of its types: a JSON boolean is no
-    integer. Raises ValueError, or KeyError for a missing field."""
-    row = json.loads(line)
-    if not isinstance(row, dict):
-        raise ValueError("not a JSON object")
-    row = {**defaults, **row}
-    for name, types, expected in fields:
-        if type(row[name]) not in types:
-            raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
-    return row
 
 
 _SCORED_FIELDS = (
@@ -281,13 +255,23 @@ def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     required, with the JSON type `_SCORED_FIELDS` names.
     """
     records = []
-    for line_no, line in _ndjson_lines(text):
+    # Split at newlines only: the writer leaves U+2028, U+2029 and U+0085
+    # unescaped, and splitlines() breaks there.
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
         row = _scan_line(line)
         # One lookup checks the shape `write_scored_records` writes; any other
         # row goes through the field-by-field check, which names its fault.
         if type(row) is not dict or (tuple(row), tuple(map(type, row.values()))) not in _SCORED_SHAPES:
             try:
-                row = _read_row(line, _SCORED_FIELDS, raw_text="")
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("not a JSON object")
+                row = {"raw_text": "", **row}
+                for name, types, expected in _SCORED_FIELDS:
+                    if type(row[name]) not in types:
+                        raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
             except (KeyError, ValueError) as exc:
                 raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
         gold_id, source = row["gold_id"], row["source"]

@@ -130,11 +130,6 @@ def _load_builtin() -> dict[tuple[OntologyKind, PromptStyle, Language], PromptTe
     return templates
 
 
-def builtin_templates() -> tuple[PromptTemplate, ...]:
-    """All shipped templates: 8 English plus the chat translations."""
-    return tuple(_load_builtin().values())
-
-
 def template_for(kind: OntologyKind, style: PromptStyle, language: Language) -> PromptTemplate:
     """Look up one shipped template; configuration error when absent."""
     template = _load_builtin().get((kind, style, language))

@@ -244,7 +244,8 @@ def run_ingest(
     """Convert a source resource into the canonical concept table.
 
     `universe_path` is for WIKIDATA only and `max_code_chars` (default 4)
-    for ICD10 only; either given with another kind is refused.
+    for ICD10 only: either given with another kind is refused, and a run of
+    another kind records neither.
     """
     source_path = Path(source_path)
     out_dir = Path(out_dir)
@@ -252,7 +253,7 @@ def run_ingest(
     if universe_path is not None and kind_enum is not OntologyKind.WIKIDATA:
         raise ConfigurationError(f"--universe applies only to --kind wikidata, not {kind_enum.value.lower()}")
     if max_code_chars is None:
-        max_code_chars = 4
+        max_code_chars = 4 if kind_enum is OntologyKind.ICD10 else None
     elif kind_enum is not OntologyKind.ICD10:
         raise ConfigurationError(f"--max-code-chars applies only to --kind icd10, not {kind_enum.value.lower()}")
     elif max_code_chars < 0:
@@ -357,7 +358,8 @@ def run_probe(
         "probe",
         inputs={"ontology_path": ontology_path},
         parameters={"sample": sample, "style": prompt_style.value, "language": language, "kind": kind and kind.upper()},
-        seed=seed,
+        # The seed acts only on the --sample draw.
+        seed=seed if derived else None,
         gateway=gateway,
         ontology=_ontology_descriptor(ontology),
         template_keys=[f"{ontology.kind.value}/{prompt_style.value}/{language}"],
@@ -549,15 +551,18 @@ def run_invariance(
     with answer-level accuracy across buckets. A constant AvPI series
     (PI1 against a deterministic model) has no rank correlation; the
     report records that reason instead of a coefficient. `m_repeats`
-    (default 10) is for PI1 only; given without PI1 it is refused.
+    (default 10) is for PI1 only: given without PI1 it is refused, and a
+    run without PI1 records none.
     """
     out_dir = Path(out_dir)
     _require_positive(buckets=buckets, k_sample=k_sample, permutations=permutations)
-    chosen = [inv.Strategy(s.upper()) for s in strategies]
+    # Each strategy runs once, in Strategy order, whatever order and repeats it is named in.
+    requested = {inv.Strategy(s.upper()) for s in strategies}
+    chosen = [strategy for strategy in inv.Strategy if strategy in requested]
     if not chosen:
         raise ConfigurationError("no invariance strategies selected")
     if m_repeats is None:
-        m_repeats = 10
+        m_repeats = 10 if inv.Strategy.PI1 in chosen else None
     elif inv.Strategy.PI1 not in chosen:
         raise ConfigurationError("--repeats applies only when --strategies includes PI1")
     elif m_repeats < 2:

@@ -15,16 +15,22 @@ import pytest
 
 from ontoprobe import (
     Concept,
+    ConfigurationError,
     HallucinationStyle,
+    Language,
     ModelConfig,
     Ontology,
     OntologyKind,
+    PromptStyle,
+    PromptTemplate,
     Provider,
     SyntheticProfile,
     parse_icd10,
     parse_obo,
     parse_wikidata_sample,
+    template_for,
 )
+from ontoprobe.gateway import _key_function
 
 # 8 current native terms, 1 obsolete, 1 foreign: concepts 8, universe 10.
 GO_OBO = """format-version: 1.2
@@ -209,6 +215,26 @@ def make_config(seed: int = 0, temperature: float = 0.0) -> ModelConfig:
         temperature=temperature,
         seed=seed,
     )
+
+
+def shipped_templates() -> list[PromptTemplate]:
+    """Every (kind, style, language) key that `template_for` resolves."""
+    templates = []
+    for kind in OntologyKind:
+        for style in PromptStyle:
+            for language in Language:
+                try:
+                    templates.append(template_for(kind, style, language))
+                except ConfigurationError:
+                    pass
+    return templates
+
+
+def request_key(
+    provider: Provider, model_name: str, temperature: float, prompt_text: str, tag: int, identity: str
+) -> str:
+    """A request's response-cache key, through the function `ModelGateway` binds."""
+    return _key_function(provider, model_name, identity)(temperature, prompt_text, tag)
 
 
 _ACCEPTANCE_REPORTS: dict[str, object] = {}

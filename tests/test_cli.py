@@ -239,15 +239,17 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: --repeats applies only when --strategies includes PI1\n"
         assert not out.exists()
 
-    def test_invariance_without_repeats_records_ten(self, tmp_path):
+    @pytest.mark.parametrize("strategy, recorded", [("PI1", 10), ("PI2", None)])
+    def test_invariance_without_repeats_records_ten_only_with_pi1(self, tmp_path, strategy, recorded):
         sim, out = tmp_path / "sim", tmp_path / "inv"
         assert run_cli("simulate", "--size", "40", "--out", str(sim)) == 0
         code = run_cli(
             "invariance", "--ontology", str(sim / "concepts.csv"), "--model-config", str(sim / "model_config.json"),
-            "--occurrences", str(sim / "occurrences.csv"), "--strategies", "PI2", "--buckets", "4", "--out", str(out),
+            "--occurrences", str(sim / "occurrences.csv"), "--strategies", strategy, "--buckets", "4",
+            "--out", str(out),
         )
         assert code == 0
-        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["parameters"]["m_repeats"] == 10
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["parameters"]["m_repeats"] == recorded
 
     def test_missing_model_config(self, tmp_path, capsys):
         ontology = make_ontology(3)

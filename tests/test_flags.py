@@ -5,7 +5,8 @@ recorded flag that changes nothing still gives the run another identity.
 Each case runs one stage twice through `cli.main` on a small `simulate`
 input: as its base gives it, where a flag left out takes its default, and
 with the flag set to another valid value. Some data output must differ, or
-one of the runs must exit 2.
+one of the runs must exit 2. A value that acts on nothing in a run is not
+recorded, so it leaves the run ID as it was.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ NOT_DATA = {"manifest.json", "cache.ndjson"}
 # act, its entry goes.
 NO_EFFECT = {
     "probe --kind": "asserts the table's kind: a matching value changes nothing and any other exits 2",
-    "probe --seed": "seeds only the --sample draw, so without --sample it acts on nothing (a FOUND in CHANGES.md)",
-}
-
-# Parameters a run records although no flag of that run can set them: giving
-# the flag exits 2. Kept so that the run IDs of earlier runs stay as they were.
-RECORDED_UNSET = {
-    ("ingest-go", "max_code_chars"): "records 4, the ICD-10 cutoff, for every kind (a FOUND in CHANGES.md)",
-    ("invariance-pi2", "m_repeats"): "records 10, the PI1 default, when the strategies leave PI1 out",
 }
 
 # Each base is a stage with its flags; `<name>` is a file the `world` fixture makes.
@@ -83,7 +76,6 @@ CASES = [
     ("probe", "--style", "completion"),
     ("probe", "--language", "fr"),
     ("probe", "--kind", "go"),
-    ("probe", "--seed", "1"),
     ("probe-sample", "--seed", "1"),
     ("analyze", "--scored", "<scored_short.ndjson>"),
     ("analyze", "--ontology", "<concepts_wider.csv>"),
@@ -218,11 +210,30 @@ def test_each_recorded_value_has_a_case(world, base):
     command = BASES[base][0]
     dests = {flag: dest for dest, flag in flags_of(command).items()}
     covered = {dests[flag] for b, flag, _value in CASES if BASES[b][0] == command}
-    unset = {name for b, name in RECORDED_UNSET if b == base}
-    assert recorded(world, base) - unset <= covered
+    assert recorded(world, base) <= covered
 
 
-@pytest.mark.parametrize("base, name", sorted(RECORDED_UNSET))
-def test_recorded_unset_value_is_refused_as_a_flag(world, base, name):
-    assert name in recorded(world, base)
-    assert run(world, BASES[base] + [flags_of(BASES[base][0])[name], "3"])[0] == 2
+# Each (base, flag) leaves out a value that acts on nothing in that run; giving
+# the flag must change neither the data nor the run ID.
+UNRECORDED = [
+    ("probe", "--seed", "1"),  # seeds only the --sample draw
+]
+
+
+@pytest.mark.parametrize("case", UNRECORDED, ids=[case_id(case) for case in UNRECORDED])
+def test_value_that_acts_on_nothing_is_not_recorded(world, case):
+    base, flag, value = case
+    default_code, default_data, default_out = run(world, BASES[base])
+    code, data, out = run(world, with_value(BASES[base], flag, value))
+    assert default_code == code == 0 and default_data == data
+    run_ids = [json.loads((o / "manifest.json").read_text(encoding="utf-8"))["run_id"] for o in (default_out, out)]
+    assert run_ids[0] == run_ids[1]
+    dest = {f: d for d, f in flags_of(BASES[base][0]).items()}[flag]
+    assert dest not in recorded(world, base)
+
+
+@pytest.mark.parametrize(
+    "base, name", [("ingest-go", "max_code_chars"), ("ingest-wikidata", "max_code_chars"), ("invariance-pi2", "m_repeats")]
+)
+def test_value_of_another_kind_or_strategy_is_not_recorded(world, base, name):
+    assert name not in recorded(world, base)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_config, make_ontology, make_profile
+from conftest import make_config, make_ontology, make_profile, request_key
 from ontoprobe import gateway as gateway_module
 from ontoprobe import (
     Concept,
@@ -27,7 +27,6 @@ from ontoprobe import (
     ResponseCache,
     SyntheticProfile,
     TransportExhausted,
-    cache_key,
     render,
     run_report,
     synthetic_respond,
@@ -99,17 +98,17 @@ class TestModelConfig:
 class TestCacheKey:
     def test_distinguishes_repetition_tags(self):
         base = (Provider.SYNTHETIC, "m", 0.0, "prompt")
-        assert cache_key(*base, 0, "i") != cache_key(*base, 1, "i")
+        assert request_key(*base, 0, "i") != request_key(*base, 1, "i")
 
     def test_distinguishes_temperature(self):
-        assert cache_key(Provider.SYNTHETIC, "m", 0.0, "p", 0, "i") != cache_key(Provider.SYNTHETIC, "m", 0.1, "p", 0, "i")
+        assert request_key(Provider.SYNTHETIC, "m", 0.0, "p", 0, "i") != request_key(Provider.SYNTHETIC, "m", 0.1, "p", 0, "i")
 
     def test_equal_inputs_equal_keys(self):
-        assert cache_key(Provider.SYNTHETIC, "m", 0.3, "p", 2, "i") == cache_key(Provider.SYNTHETIC, "m", 0.3, "p", 2, "i")
+        assert request_key(Provider.SYNTHETIC, "m", 0.3, "p", 2, "i") == request_key(Provider.SYNTHETIC, "m", 0.3, "p", 2, "i")
 
     def test_distinguishes_identity(self):
         base = (Provider.SYNTHETIC, "m", 0.0, "p", 0)
-        assert cache_key(*base, "a") != cache_key(*base, "b")
+        assert request_key(*base, "a") != request_key(*base, "b")
 
     @pytest.mark.parametrize(
         "request_fields, expected",
@@ -131,14 +130,14 @@ class TestCacheKey:
     def test_keys_of_existing_caches_unchanged(self, request_fields, expected):
         # Pinned from the json.dumps definition the response caches on disk
         # were written with: a changed key would make every one of them miss.
-        assert cache_key(*request_fields) == expected
+        assert request_key(*request_fields) == expected
 
 
 def _gateway_key(config: dict, profile=None) -> str:
     """The cache key a gateway built from `config` gives one fixed request."""
     model = ModelConfig.from_dict(config)
     identity = ModelGateway(model, profile=profile).identity
-    return cache_key(model.provider, model.model_name, 0.0, "p", 0, identity)
+    return request_key(model.provider, model.model_name, 0.0, "p", 0, identity)
 
 
 _HTTP_BASE = {"provider": "CHAT_HTTP", "model_name": "m", "endpoint": "https://a.test"}
@@ -858,6 +857,34 @@ class TestBatch:
         cache.close()
         assert len(transport.calls) == 12
         assert all(r.from_cache and r.raw_text == "GO:0000001" for r in responses)
+
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_repeated_key_is_dispatched_once_and_served_as_a_hit(self, max_in_flight):
+        from ontoprobe.gateway import TransportFailure
+
+        ontology = make_ontology(3)
+        prompts = [chat_prompt(c) for c in ontology.concepts]
+        sent = []
+
+        def transport(url, payload, headers):
+            content = payload["messages"][0]["content"]
+            sent.append(content)
+            if "0000002" in content:
+                raise TransportFailure("always down")
+            return 200, _openai_chat_body(f"answer {len(sent)}")
+
+        config = ModelConfig(
+            Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_attempts=1, max_in_flight=max_in_flight
+        )
+        gateway = ModelGateway(config, transport=transport, sleep_fn=lambda s: None)
+        order = [0, 1, 0, 2, 1, 0]
+        responses = gateway.complete_batch([(prompts[i], 0, None) for i in order])
+        assert sorted(sent) == sorted(p.text for p in prompts)
+        first, repeats = responses[0], [responses[2], responses[5]]
+        assert not first.from_cache
+        assert repeats == [first._replace(latency=0.0, from_cache=True)] * 2
+        assert responses[1] is None and responses[4] is None
+        assert responses[3] is not None and not responses[3].from_cache
 
 
 class TestThrottle:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import shipped_templates
 from ontoprobe import (
     Concept,
     ConfigurationError,
@@ -11,7 +12,6 @@ from ontoprobe import (
     OntologyKind,
     PromptStyle,
     PromptTemplate,
-    builtin_templates,
     render,
     template_for,
 )
@@ -42,14 +42,19 @@ class TestBuiltinTemplates:
             assert template_for(kind, PromptStyle.COMPLETION, Language.EN).text == text
 
     def test_chat_count_is_twenty(self):
-        chat = [t for t in builtin_templates() if t.style is PromptStyle.CHAT]
+        chat = [t for t in shipped_templates() if t.style is PromptStyle.CHAT]
         assert len(chat) == 20
 
     def test_completion_english_count_is_four(self):
         completion = [
-            t for t in builtin_templates() if t.style is PromptStyle.COMPLETION and t.language is Language.EN
+            t for t in shipped_templates() if t.style is PromptStyle.COMPLETION and t.language is Language.EN
         ]
         assert len(completion) == 4
+
+    def test_every_key_resolves_to_its_own_template(self):
+        templates = shipped_templates()
+        assert len(templates) == 24
+        assert all(template_for(*t.key) is t for t in templates)
 
     def test_every_chat_language_combination_present(self):
         for kind in OntologyKind:

@@ -24,6 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from conftest import request_key, shipped_templates
 from ontoprobe import (
     Concept,
     DegenerateInputError,
@@ -44,8 +45,6 @@ from ontoprobe import (
     Strategy,
     SyntheticProfile,
     bucketize,
-    builtin_templates,
-    cache_key,
     canonical_icd10,
     completion_cue,
     default_recall_curve,
@@ -57,7 +56,6 @@ from ontoprobe import (
     normalize_label,
     pi_value,
     read_concept_table,
-    read_invariance_records,
     read_occurrences,
     read_scored_records,
     render,
@@ -168,20 +166,46 @@ def test_scored_records_round_trip(label, predicted, raw_text):
     assert read_scored_records(write_scored_records(records), ontology) == records
 
 
-@BOUNDED
-@given(
-    label=LABELS,
-    strategy=st.sampled_from(list(Strategy)),
-    answers=st.lists(st.one_of(st.none(), st.text()), min_size=2, max_size=6),
-)
-@example(label="x", strategy=Strategy.PI1, answers=["a\u2028b", None])
-@example(label="y\u2029z", strategy=Strategy.PI2, answers=["GO:0000001", "GO:0000001"])
-@example(label="w", strategy=Strategy.PI3, answers=[None, "\x85"])
-def test_invariance_records_round_trip(label, strategy, answers):
-    concept, ontology = one_concept_ontology(label)
+def reference_invariance_ndjson(records) -> str:
+    """The invariance file as first defined: json.dumps of each row's dict."""
+    rows = (
+        {
+            "strategy": r.strategy.value,
+            "source": r.concept.source.value,
+            "gold_id": r.concept.id,
+            "label": r.concept.label,
+            "m": r.m,
+            "answers": list(r.answers),
+            "u": r.u,
+            "pi": r.pi,
+        }
+        for r in records
+    )
+    return "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+
+
+def invariance_record(concept: Concept, strategy: Strategy, answers: list) -> InvarianceRecord:
     u = unique_answers(answers)
-    records = [InvarianceRecord(concept, strategy, len(answers), tuple(answers), u, pi_value(len(answers), u))] * 2
-    assert read_invariance_records(write_invariance_records(records), ontology) == records
+    return InvarianceRecord(concept, strategy, len(answers), tuple(answers), u, pi_value(len(answers), u))
+
+
+# Up to 12 answers, so that pi takes values such as 1 - 1/3 and 1 - 4/11.
+INVARIANCE_RECORDS = st.builds(
+    invariance_record,
+    concept=st.sampled_from([("GO:0000001", OntologyKind.GO), ("Q42", OntologyKind.WIKIDATA), ("A01", OntologyKind.ICD10)])
+    .flatmap(lambda pair: st.builds(Concept, st.just(pair[0]), st.text().filter(str.strip), st.just(pair[1]))),
+    strategy=st.sampled_from(list(Strategy)),
+    answers=st.lists(st.one_of(st.none(), st.text()), min_size=2, max_size=12),
+)
+
+
+@BOUNDED
+@given(records=st.lists(INVARIANCE_RECORDS, max_size=4))
+@example(records=[invariance_record(Concept("GO:0000001", "x", OntologyKind.GO), Strategy.PI1, ["a\u2028b", None])])
+@example(records=[invariance_record(Concept("GO:0000001", "y\u2029z", OntologyKind.GO), Strategy.PI2, ["GO:0000001"] * 2)])
+@example(records=[invariance_record(Concept("GO:0000001", "w", OntologyKind.GO), Strategy.PI3, [None, "\x85"])])
+def test_write_invariance_records_equals_reference(records):
+    assert write_invariance_records(records) == reference_invariance_ndjson(records)
 
 
 def reference_edit_distance(a: str, b: str) -> int:
@@ -292,7 +316,7 @@ TEMPLATE_KEY = (OntologyKind.WIKIDATA, PromptStyle.CHAT, Language.EN)
 @example(provider=Provider.SYNTHETIC, model_name="m\udfff", temperature=0.5, prompt_text="\ud83d", tag=1, identity="")
 def test_cache_key_equals_reference(provider, model_name, temperature, prompt_text, tag, identity):
     expected = reference_cache_key(provider, model_name, temperature, prompt_text, tag, identity)
-    assert cache_key(provider, model_name, temperature, prompt_text, tag, identity) == expected
+    assert request_key(provider, model_name, temperature, prompt_text, tag, identity) == expected
 
 
 @BOUNDED
@@ -616,7 +640,7 @@ SAMPLE_IDS = {
 @BOUNDED
 @given(label=st.one_of(AWKWARD_LABELS, st.sampled_from(["is GO:", "UBERON: ", "GO:\n", "x GO:"])))
 def test_completion_cue_of_template_equals_cue_of_prompt(label):
-    for template in builtin_templates():
+    for template in shipped_templates():
         concept = Concept(SAMPLE_IDS[template.ontology_kind], label, template.ontology_kind)
         assert completion_cue(template.text) == completion_cue(render(template, concept).text)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GO_OBO, make_config, make_ontology, make_profile
+from conftest import GO_OBO, ICD_CSV, UBERON_OBO, WIKIDATA_CSV, make_config, make_ontology, make_profile
 from ontoprobe import (
     Concept,
     ConfigurationError,
@@ -32,6 +32,7 @@ from ontoprobe import (
     atomic_write_text,
     derive_seed,
     load_ontology,
+    parse_wikidata_sample,
     read_concept_table,
     read_occurrences,
     read_scored_records,
@@ -46,6 +47,7 @@ from ontoprobe import (
     write_occurrences,
     write_scored_records,
 )
+from ontoprobe import invariance as inv
 from ontoprobe import metrics, runs, stats
 from ontoprobe.gateway import TransportFailure
 
@@ -126,6 +128,22 @@ class TestIngest:
                 universe.write_text("Q1\nQ2\nQ42\nQ155\nQ308\n" + extra, encoding="utf-8")
             ids.append(run_ingest(source, "wikidata", tmp_path / name, universe_path=universe).run_id)
         assert len(set(ids)) == 3
+
+    @pytest.mark.parametrize(
+        "kind, source, options, recorded",
+        [
+            ("go", GO_OBO, {}, None),
+            ("uberon", UBERON_OBO, {}, None),
+            ("wikidata", WIKIDATA_CSV, {}, None),
+            ("icd10", ICD_CSV, {}, 4),
+            ("icd10", ICD_CSV, {"max_code_chars": 6}, 6),
+        ],
+        ids=["go", "uberon", "wikidata", "icd10", "icd10-6"],
+    )
+    def test_max_code_chars_is_recorded_only_for_icd10(self, tmp_path, kind, source, options, recorded):
+        path = tmp_path / "source.txt"
+        path.write_text(source, encoding="utf-8")
+        assert run_ingest(path, kind, tmp_path / "out", **options).parameters["max_code_chars"] == recorded
 
     def test_manifest_file_round_trips(self, tmp_path, go_obo_text):
         source = tmp_path / "go.obo"
@@ -213,6 +231,18 @@ class TestProbe:
         assert manifest.counts["requested"] == 8
         assert manifest.derived_seeds == {}
 
+    @pytest.mark.parametrize("sample, recorded", [(None, False), (8, False), (100, False), (5, True)])
+    def test_seed_is_recorded_only_when_the_sample_is_drawn(self, tmp_path, sample, recorded):
+        ontology = make_ontology(8)
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        profile = make_profile(ontology, recall=0.5)
+        manifests = [
+            run_probe(concepts_path, make_config(), tmp_path / f"seed{seed}", sample=sample, seed=seed, profile=profile)
+            for seed in (1, 2)
+        ]
+        assert [m.seed for m in manifests] == ([1, 2] if recorded else [None, None])
+        assert (manifests[0].run_id != manifests[1].run_id) == recorded
+
     def test_rerun_resumes_from_cache(self, tmp_path):
         ontology = make_ontology(20)
         concepts_path, _ = write_corpus(tmp_path, ontology)
@@ -233,6 +263,36 @@ class TestProbe:
             tmp_path / "two" / "scored.ndjson"
         ).read_bytes()
         assert first.run_id == second.run_id
+
+    def test_shared_label_probe_resumes_to_the_bytes_it_wrote(self, tmp_path):
+        # 200 QIDs pairing up on 99 labels: a pair's concepts get one prompt,
+        # so one cache key, and the fresh run must score both with its answer.
+        rows = [f"Q{i},{f'pair {(i + 1) // 2}' if i <= 198 else f'lone {i}'},{1000 - i}" for i in range(1, 201)]
+        ontology = parse_wikidata_sample("qid,label,qrank\n" + "\n".join(rows) + "\n")
+        concepts_path, _ = write_corpus(tmp_path, ontology)
+        profile = make_profile(ontology, recall=0.5)
+        cache = tmp_path / "synthetic.ndjson"
+        fresh = run_probe(concepts_path, make_config(seed=4), tmp_path / "fresh", cache_path=cache, profile=profile)
+        resumed = run_probe(concepts_path, make_config(seed=4), tmp_path / "resumed", cache_path=cache, profile=profile)
+        fresh_text = (tmp_path / "fresh" / "scored.ndjson").read_bytes()
+        assert fresh_text == (tmp_path / "resumed" / "scored.ndjson").read_bytes()
+        assert (fresh.counts["from_cache"], resumed.counts["from_cache"]) == (99, 200)
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 101
+
+        sent = []
+
+        def transport(url, payload, headers):
+            sent.append(payload["messages"][0]["content"])
+            return 200, {"choices": [{"message": {"content": f"Q{len(sent)}"}}]}
+
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=2)
+        cache = tmp_path / "http.ndjson"
+        run_probe(concepts_path, config, tmp_path / "http-fresh", cache_path=cache, transport=transport)
+        run_probe(concepts_path, config, tmp_path / "http-resumed", cache_path=cache, transport=transport)
+        assert len(sent) == len(set(sent)) == 101
+        assert (tmp_path / "http-fresh" / "scored.ndjson").read_bytes() == (
+            tmp_path / "http-resumed" / "scored.ndjson"
+        ).read_bytes()
 
     def test_torn_cache_line_survives_two_resumes(self, tmp_path):
         ontology = make_ontology(200)
@@ -707,6 +767,31 @@ class TestInvarianceRun:
         assert manifest.counts["answers_pi2"] == 20 * 11
         assert manifest.counts["answers_pi3"] == 20 * 5
 
+    def test_strategies_run_once_each_in_strategy_order(self, tmp_path, monkeypatch):
+        _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=12)
+        sweeps = []
+
+        def counted(sweep):
+            def run(*args, **kwargs):
+                sweeps.append(sweep.__name__)
+                return sweep(*args, **kwargs)
+
+            return run
+
+        for name in ("run_pi1", "run_pi2"):
+            monkeypatch.setattr(inv, name, counted(getattr(inv, name)))
+        results = []
+        for strategies in [("PI1", "PI2"), ("PI2", "PI1"), ("pi1", "PI1", "PI2")]:
+            sweeps.clear()
+            out = tmp_path / "-".join(strategies)
+            manifest = run_invariance(concepts_path, make_config(), occurrences_path, out, strategies=strategies,
+                                      buckets=3, k_sample=2, m_repeats=2, permutations=50, profile=profile)
+            assert sweeps == ["run_pi1", "run_pi2"]
+            assert manifest.parameters["strategies"] == ["PI1", "PI2"]
+            data = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name not in ("manifest.json", "cache.ndjson")}
+            results.append((manifest.run_id, data))
+        assert results[1] == results[2] == results[0]
+
     def test_spearman_tests_run_in_a_worker_without_scipy(self, tmp_path, monkeypatch):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path)
         opened, calls = [], []
@@ -1041,7 +1126,8 @@ def stage_runs(tmp_path_factory):
     stages = {
         "simulate": lambda out: run_simulate(out, size=300, seed=4),
         "ingest": lambda out: run_ingest(root / "go.obo", "go", out),
-        "probe": lambda out: run_probe(sim / "concepts.csv", sim / "model_config.json", out, kind="go"),
+        # A sample smaller than the table, so that the seed acts and is recorded.
+        "probe": lambda out: run_probe(sim / "concepts.csv", sim / "model_config.json", out, sample=250, kind="go"),
         "analyze": lambda out: run_analyze(
             root / "probe" / "scored.ndjson",
             sim / "concepts.csv",
