@@ -58,11 +58,12 @@ class HallucinationStats(NamedTuple):
 
 
 def is_correct(ontology: Ontology, concept: Concept, predicted: str | None) -> bool:
-    """Exact-match correctness; Wikidata accepts any ID sharing the label."""
+    """Exact-match correctness; Wikidata accepts any concept ID sharing the normalised label."""
     if predicted is None:
         return False
     if ontology.kind is OntologyKind.WIKIDATA:
-        return predicted in ontology.label_index.get(normalize_label(concept.label), frozenset())
+        hit = ontology.id_index.get(predicted)
+        return hit is not None and normalize_label(hit.label) == normalize_label(concept.label)
     return predicted == concept.id
 
 

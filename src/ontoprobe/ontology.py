@@ -98,11 +98,13 @@ class Ontology:
     `universe` holds every ID present in the original source file,
     including entries the inclusion filters dropped (foreign prefixes,
     obsolete terms, over-length ICD codes). A predicted ID outside the
-    universe is an invented one. Two ontologies are equal when their kind,
-    concepts and universe are; the indexes follow from those.
+    universe is an invented one. `id_index` maps each ID to its concept.
+    Labels are unique once normalised, except in Wikidata, whose shared
+    labels `metrics.is_correct` decides. Two ontologies are equal when
+    their kind, concepts and universe are; the index follows from those.
     """
 
-    __slots__ = ("kind", "concepts", "universe", "id_index", "label_index")
+    __slots__ = ("kind", "concepts", "universe", "id_index")
 
     def __init__(self, kind: OntologyKind, concepts: tuple[Concept, ...], universe: frozenset[str]) -> None:
         object.__setattr__(self, "kind", kind)
@@ -117,19 +119,11 @@ class Ontology:
             or not universe.issuperset(id_index)
         ):
             self._first_fault()
-        if kind is OntologyKind.WIKIDATA:
-            labels: dict[str, set[str]] = {}
-            for concept in concepts:
-                labels.setdefault(normalize_label(concept.label), set()).add(concept.id)
-            label_index = {l: frozenset(ids) for l, ids in labels.items()}
-        else:
-            label_index = {normalize_label(concept.label): frozenset((concept.id,)) for concept in concepts}
-            if len(label_index) != len(concepts):
-                counts = Counter(normalize_label(concept.label) for concept in concepts)
-                shared = sorted(l for l, n in counts.items() if n > 1)
-                raise ValueError(f"duplicate labels not permitted for {kind.value}: {shared[:5]}")
+        if kind is not OntologyKind.WIKIDATA and len({normalize_label(c.label) for c in concepts}) != len(concepts):
+            counts = Counter(normalize_label(concept.label) for concept in concepts)
+            shared = sorted(l for l, n in counts.items() if n > 1)
+            raise ValueError(f"duplicate labels not permitted for {kind.value}: {shared[:5]}")
         object.__setattr__(self, "id_index", id_index)
-        object.__setattr__(self, "label_index", label_index)
 
     def _first_fault(self) -> None:
         """Raise ValueError for the first concept, in order, whose source,
@@ -292,9 +286,9 @@ def parse_icd10(text: str, max_code_chars: int = 4) -> Ontology:
 def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontology:
     """Parse a `qid,label,qrank` sample table.
 
-    Polysemy is expected here: several QIDs may share a label, and the
-    label index groups them. When a universe list is supplied it must
-    cover every sampled QID.
+    Polysemy is expected here: several QIDs may share a label, and
+    `metrics.is_correct` accepts any of them for that label. When a
+    universe list is supplied it must cover every sampled QID.
     """
     concepts: list[Concept] = []
     seen: set[str] = set()

@@ -111,12 +111,6 @@ def bucketize(occurrences: list[OccurrenceRecord], n_buckets: int = 50) -> Bucke
         raise ValueError("n_buckets must be at least 1")
     if not occurrences:
         raise ValueError("cannot bucketize an empty occurrence collection")
-    seen: set[str] = set()
-    for r in occurrences:
-        if r.concept_id in seen:
-            raise ValueError(f"duplicate occurrence record for {r.concept_id}")
-        seen.add(r.concept_id)
-
     counts = sorted(r.count for r in occurrences)
     n = len(counts)
     # nearest-rank quantile: the ceil(p*n)-th smallest value, 1-indexed
@@ -125,6 +119,8 @@ def bucketize(occurrences: list[OccurrenceRecord], n_buckets: int = 50) -> Bucke
     membership: dict[str, int] = {}
     occupancy = [0] * n_buckets
     for r in occurrences:
+        if r.concept_id in membership:
+            raise ValueError(f"duplicate occurrence record for {r.concept_id}")
         bucket = bisect_left(boundaries, r.count) + 1
         membership[r.concept_id] = bucket
         occupancy[bucket - 1] += 1

@@ -357,7 +357,7 @@ def run_probe(
         out_dir,
         "probe",
         inputs={"ontology_path": ontology_path},
-        parameters={"sample": sample, "style": prompt_style.value, "language": language, "kind": kind and kind.upper()},
+        parameters={"sample": sample, "style": prompt_style.value, "language": language},
         # The seed acts only on the --sample draw.
         seed=seed if derived else None,
         gateway=gateway,

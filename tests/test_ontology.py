@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from ontoprobe import (
@@ -127,9 +130,6 @@ class TestParseWikidata:
     def test_sample_counts(self, wikidata_ontology):
         assert len(wikidata_ontology.concepts) == 5
         assert wikidata_ontology.universe == {"Q1", "Q2", "Q42", "Q155", "Q308"}
-
-    def test_polysemy_grouping(self, wikidata_ontology):
-        assert wikidata_ontology.label_index["mercury"] == {"Q155", "Q308"}
 
     def test_single_row(self):
         ontology = parse_wikidata_sample("qid,label,qrank\nQ1,universe,9e9\n")
@@ -317,13 +317,6 @@ class TestOntologyInvariants:
             Ontology(OntologyKind(kind), concepts, universe)
         assert str(excinfo.value) == message
 
-    def test_wikidata_labels_may_be_shared(self):
-        rows = [("Q1", "a"), ("Q2", " A "), ("Q3", "b")]
-        concepts = tuple(Concept(qid, label, OntologyKind.WIKIDATA) for qid, label in rows)
-        ontology = Ontology(OntologyKind.WIKIDATA, concepts, frozenset({"Q1", "Q2", "Q3", "Q4"}))
-        assert ontology.label_index == {"a": {"Q1", "Q2"}, "b": {"Q3"}}
-        assert ontology.id_index == {c.id: c for c in concepts}
-
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -335,6 +328,27 @@ class TestOntologyInvariants:
         with pytest.raises(ValueError) as excinfo:
             Concept(*args)
         assert str(excinfo.value) == message
+
+
+class TestConceptTableMemory:
+    def test_table_retains_under_440_bytes_per_concept(self):
+        # A GO table keeps its concepts, universe and ID index, and no index
+        # by label. On CPython 3.11 that retains about 286 B per concept; an
+        # index by label besides (one frozenset per concept) takes about
+        # 597 B. The bound is about 1.5 times the first and 0.74 the second.
+        n = 20_000
+        text = "source,id,label\n" + "".join(f"GO,GO:{i:07d},synthetic concept {i:07d}\n" for i in range(1, n + 1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ontology = read_concept_table(text)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ontology) == n
+        assert retained / n < 440
 
 
 class TestCanonicalIcd10:

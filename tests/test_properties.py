@@ -1,8 +1,8 @@
 """Properties that hold for every input: ID extraction and canonicalisation,
-NDJSON and concept-table round trips and encodings, edit distance, bucketing,
-response-cache keys and lines, completion cues, `simulate`'s files against a
-record-built reference, and the numpy/scipy.special statistics against their
-scipy.stats references."""
+Wikidata correctness against IDs grouped by label, NDJSON and concept-table
+round trips and encodings, edit distance, bucketing, response-cache keys and
+lines, completion cues, `simulate`'s files against a record-built reference,
+and the numpy/scipy.special statistics against their scipy.stats references."""
 
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ from ontoprobe import (
     derive_seed,
     extract_id,
     granger_f,
+    is_correct,
     levenshtein,
     normalize_id,
     normalize_label,
@@ -164,6 +165,62 @@ def test_scored_records_round_trip(label, predicted, raw_text):
     concept, ontology = one_concept_ontology(label)
     records = [score(ontology, concept, predicted, raw_text)] * 2
     assert read_scored_records(write_scored_records(records), ontology) == records
+
+
+def reference_wikidata_is_correct(ontology: Ontology, concept: Concept, predicted: str | None) -> bool:
+    """Wikidata correctness as a label index decided it: the ontology's
+    concept IDs grouped by normalised label, and a prediction is correct
+    when it is in the concept's group."""
+    if predicted is None:
+        return False
+    groups: dict[str, set[str]] = {}
+    for member in ontology.concepts:
+        groups.setdefault(normalize_label(member.label), set()).add(member.id)
+    return predicted in groups.get(normalize_label(concept.label), set())
+
+
+# A few stems whose spellings differ only in case ("STRASSE" and "straße"
+# casefold alike) or in their whitespace runs, plus any label, so that
+# labels shared only once normalised are common.
+CASINGS = st.sampled_from([str.lower, str.upper, str.title, str.swapcase, str.casefold])
+BLANKS = st.text(alphabet=" \t\n\u00a0\u2028\u3000\x85", min_size=1, max_size=3)
+STEMMED_LABELS = st.builds(
+    lambda stem, casing, lead, gap, trail: lead + gap.join(casing(stem).split(" ")) + trail,
+    st.sampled_from(["mercury", "java", "new york", "straße", "ǅemal ǆ", "a b c"]),
+    CASINGS,
+    st.one_of(st.just(""), BLANKS),
+    BLANKS,
+    st.one_of(st.just(""), BLANKS),
+)
+WIKIDATA_LABELS = st.one_of(STEMMED_LABELS, STEMMED_LABELS, LABELS)
+
+
+@BOUNDED
+@given(
+    labels=st.lists(WIKIDATA_LABELS, min_size=1, max_size=8),
+    qids=st.lists(st.integers(min_value=1, max_value=10**6), min_size=11, max_size=11, unique=True),
+    extras=st.integers(min_value=0, max_value=2),
+    outside_label=WIKIDATA_LABELS,
+)
+@example(
+    labels=["Mercury", " mercury\t", "MERCURY ", "Venus"], qids=list(range(1, 12)), extras=1, outside_label="mercury"
+)
+@example(labels=["STRASSE", "straße", "New  York", "new york"], qids=list(range(1, 12)), extras=0, outside_label="x")
+def test_wikidata_is_correct_equals_grouping_by_label(labels, qids, extras, outside_label):
+    ids = [f"Q{qid}" for qid in qids]
+    concepts = tuple(Concept(qid, label, OntologyKind.WIKIDATA) for qid, label in zip(ids, labels))
+    extra_ids = ids[len(labels):len(labels) + extras]
+    ontology = Ontology(OntologyKind.WIKIDATA, concepts, frozenset([c.id for c in concepts] + extra_ids))
+    # Concept IDs, universe-only IDs, QIDs in neither (one is the outside
+    # concept's own) and no answer at all.
+    outside = Concept(ids[-1], outside_label, OntologyKind.WIKIDATA)
+    predictions = [c.id for c in concepts] + extra_ids + [ids[-1], "Q2000000", None]
+    for concept in (*concepts, outside):
+        for predicted in predictions:
+            expected = reference_wikidata_is_correct(ontology, concept, predicted)
+            assert is_correct(ontology, concept, predicted) == expected, (concept, predicted)
+            if concept is not outside:
+                assert score(ontology, concept, predicted).correct == expected
 
 
 def reference_invariance_ndjson(records) -> str:

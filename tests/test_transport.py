@@ -29,6 +29,8 @@ from ontoprobe import (
     render,
     template_for,
 )
+from ontoprobe.cli import main
+from ontoprobe.gateway import API_KEY_ENV
 
 ANSWER = json.dumps({"choices": [{"message": {"role": "assistant", "content": "GO:0000001"}}]}).encode("utf-8")
 
@@ -392,3 +394,31 @@ def test_https_tunnels_through_connect_proxy(serve, monkeypatch, tmp_path, trust
         assert "Proxy-Authorization" not in headers
     else:
         assert server.requests == []
+
+
+SENTINEL = "sentinel-key-9c41e7d2"
+
+
+@pytest.mark.parametrize(("status", "exit_code"), [(200, 0), (401, 2)])
+def test_api_key_reaches_the_endpoint_and_nothing_else(serve, monkeypatch, tmp_path, capfd, status, exit_code):
+    server = serve(respond=lambda n: (status, {}))
+    monkeypatch.setenv(API_KEY_ENV, SENTINEL)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--size", "60", "--seed", "1", "--out", str(sim)]) == 0
+    config = tmp_path / "http_config.json"
+    config.write_text(
+        json.dumps({"provider": "CHAT_HTTP", "model_name": "m", "endpoint": server.url, "max_attempts": 1}),
+        encoding="utf-8",
+    )
+    table = ["--ontology", str(sim / "concepts.csv"), "--model-config", str(config)]
+    assert main(["probe", *table, "--out", str(tmp_path / "probe")]) == exit_code
+    probed = len(server.requests)
+    invariance = ["--occurrences", str(sim / "occurrences.csv"), "--buckets", "2", "--k-sample", "1", "--repeats", "2"]
+    assert main(["invariance", *table, *invariance, "--out", str(tmp_path / "invariance")]) == exit_code
+    # Both stages sent requests, each carrying the key.
+    assert 0 < probed < len(server.requests)
+    assert {headers["Authorization"] for _path, headers in server.requests} == {f"Bearer {SENTINEL}"}
+    out, err = capfd.readouterr()
+    assert SENTINEL not in out + err
+    written = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert [path for path in written if SENTINEL.encode("ascii") in path.read_bytes()] == []
