@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import re
 from collections import Counter
+from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
 
@@ -193,11 +193,10 @@ def parse_obo(text: str, native_prefix: str) -> Ontology:
                 raise ParseError(f"line {stanza_line}: duplicate id {term_id}")
             universe.add(term_id)
             if not obsolete and term_id.partition(":")[0] == native_prefix:
-                if ID_PATTERNS[kind].match(term_id) is None:
-                    raise ParseError(f"line {stanza_line}: malformed {native_prefix} id {term_id!r}")
-                if not term_name:
-                    raise ParseError(f"line {stanza_line}: empty name for {term_id}")
-                concepts.append(Concept(term_id, term_name, kind))
+                try:
+                    concepts.append(Concept(term_id, term_name, kind))
+                except ValueError as exc:
+                    raise ParseError(f"line {stanza_line}: {exc}") from exc
         term_id = None
         term_name = None
         obsolete = False
@@ -294,11 +293,10 @@ def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontolo
     seen: set[str] = set()
     for row_no, row in _csv_rows(text, ["qid", "label", "qrank"], "Wikidata sample"):
         qid = row[0].strip()
-        label = row[1].strip()
-        if ID_PATTERNS[OntologyKind.WIKIDATA].match(qid) is None:
-            raise ParseError(f"Wikidata sample: row {row_no} has malformed QID {qid!r}")
-        if not label:
-            raise ParseError(f"Wikidata sample: row {row_no} has an empty label")
+        try:
+            concept = Concept(qid, row[1].strip(), OntologyKind.WIKIDATA)
+        except ValueError as exc:
+            raise ParseError(f"Wikidata sample: row {row_no}: {exc}") from exc
         try:
             float(row[2])
         except ValueError:
@@ -306,7 +304,7 @@ def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontolo
         if qid in seen:
             raise ParseError(f"Wikidata sample: row {row_no} duplicates QID {qid}")
         seen.add(qid)
-        concepts.append(Concept(qid, label, OntologyKind.WIKIDATA))
+        concepts.append(concept)
 
     if universe_text is None:
         universe = set(seen)
@@ -325,6 +323,27 @@ def parse_wikidata_sample(text: str, universe_text: str | None = None) -> Ontolo
     return _ontology(OntologyKind.WIKIDATA, concepts, universe)
 
 
+def _csv_text(header: list[str], rows: Iterable[tuple]) -> str:
+    """The CSV text of `header` then `rows`, the one writer of every table:
+    minimal quoting and "\n" line ends.
+
+    The csv writer quotes a field holding "\n", its line terminator, but not
+    one holding "\r", which `_csv_rows` refuses outside quotes; so a table
+    holding "\r" is written again with every field quoted.
+    """
+    rows = list(rows)
+
+    def text(quoting: int) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+
+    minimal = text(csv.QUOTE_MINIMAL)
+    return text(csv.QUOTE_ALL) if "\r" in minimal else minimal
+
+
 def write_concept_table(ontology: Ontology) -> str:
     """Serialize to the canonical `source,id,label` CSV.
 
@@ -332,34 +351,10 @@ def write_concept_table(ontology: Ontology) -> str:
     sorted order with an empty label, so the universe survives the
     round trip.
     """
-    concepts = ontology.concepts
-    return _concept_table_text(
-        ontology.kind,
-        [concept.id for concept in concepts],
-        [concept.label for concept in concepts],
-        sorted(ontology.universe.difference(ontology.id_index)),
-    )
-
-
-def _concept_table_text(kind: OntologyKind, ids: list[str], labels: list[str], extra_ids: list[str]) -> str:
-    """The canonical concept table of concept rows (`ids` with their `labels`)
-    followed by universe-only rows (`extra_ids`, empty label), unchecked.
-
-    The csv writer quotes a field holding "\n", its line terminator, but not
-    one holding "\r", which its reader refuses outside quotes; so a table
-    holding "\r" is written again with every field quoted.
-    """
-    def text(quoting: int) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(itertools.chain(
-            [CANONICAL_HEADER],
-            zip(itertools.repeat(kind.value), ids, labels),
-            [(kind.value, extra, "") for extra in extra_ids],
-        ))
-        return buf.getvalue()
-
-    minimal = text(csv.QUOTE_MINIMAL)
-    return text(csv.QUOTE_ALL) if "\r" in minimal else minimal
+    kind = ontology.kind.value
+    rows = [(kind, concept.id, concept.label) for concept in ontology.concepts]
+    rows += [(kind, extra, "") for extra in sorted(ontology.universe.difference(ontology.id_index))]
+    return _csv_text(CANONICAL_HEADER, rows)
 
 
 def read_concept_table(text: str) -> Ontology:

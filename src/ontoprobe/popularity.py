@@ -9,15 +9,13 @@ popular concepts.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import ParseError
 from .metrics import ProbeRecord
-from .ontology import _checked_make, _csv_rows
+from .ontology import _checked_make, _csv_rows, _csv_text
 
 OCCURRENCE_HEADER = ["source", "id", "occurrences"]
 
@@ -93,11 +91,7 @@ def read_occurrences(text: str) -> list[OccurrenceRecord]:
 def write_occurrences(records: Iterable[tuple[str, str, int]]) -> str:
     """The `source,id,occurrences` CSV of `(concept_id, source_tag, count)`
     triples, such as OccurrenceRecords, in their order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(OCCURRENCE_HEADER)
-    writer.writerows((source_tag, concept_id, count) for concept_id, source_tag, count in records)
-    return buf.getvalue()
+    return _csv_text(OCCURRENCE_HEADER, ((source_tag, concept_id, count) for concept_id, source_tag, count in records))
 
 
 def bucketize(occurrences: list[OccurrenceRecord], n_buckets: int = 50) -> BucketAssignment:

@@ -52,9 +52,10 @@ from .metrics import (
     write_scored_records,
 )
 from .ontology import (
+    CANONICAL_HEADER,
     Ontology,
     OntologyKind,
-    _concept_table_text,
+    _csv_text,
     parse_icd10,
     parse_obo,
     parse_wikidata_sample,
@@ -184,8 +185,10 @@ def _ontology_descriptor(ontology: Ontology) -> dict:
 
 
 def _read_text(path: str | Path) -> str:
+    """A stage input's text. A leading UTF-8 byte-order mark, as Excel writes
+    one, is dropped, so it cannot reach a header check."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -709,7 +712,7 @@ def run_simulate(
     profile_path = out_dir / "profile.json"
     config_path = out_dir / "model_config.json"
     labels = ["synthetic concept " + number for number in numbers]
-    atomic_write_text(concepts_path, _concept_table_text(OntologyKind.GO, ids, labels, []))
+    atomic_write_text(concepts_path, _csv_text(CANONICAL_HEADER, zip(itertools.repeat("GO"), ids, labels)))
     atomic_write_text(occurrences_path, write_occurrences(zip(ids, itertools.repeat("synthetic"), counts)))
     atomic_write_text(profile_path, _profile_json(profile, indent=True))
     _write_json(config_path, model_config)

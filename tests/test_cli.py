@@ -725,6 +725,28 @@ class TestImportPath:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(leader.pid, signal.SIGKILL)
 
+    def test_one_csv_writer_in_src(self):
+        """Every table is written through `ontology._csv_text`, so its quoting
+        rule holds for all of them: nothing else in src/ builds a `csv.writer`."""
+        writers, other_imports = [], []
+
+        def visit(node, module: str, scope: tuple[str, ...]) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = (*scope, node.name)
+            if isinstance(node, ast.Attribute) and node.attr == "writer" and getattr(node.value, "id", None) == "csv":
+                writers.append((module, scope))
+            if isinstance(node, ast.ImportFrom) and node.module == "csv" or isinstance(node, ast.Import) and any(
+                alias.name == "csv" and alias.asname for alias in node.names
+            ):
+                other_imports.append((module, ast.unparse(node)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, scope)
+
+        for path in sorted(SRC.rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+        assert other_imports == []
+        assert writers == [("ontology", ("_csv_text", "text"))]
+
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")
         project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]

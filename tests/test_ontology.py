@@ -82,6 +82,20 @@ class TestParseObo:
         second = parse_obo(go_obo_text, "GO")
         assert [c.id for c in first.concepts] == [c.id for c in second.concepts]
 
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ("id: GO:12\nname: short", "concept ID 'GO:12' does not match the GO pattern"),
+            ("id: GO:0000002\nname:", "concept GO:0000002 has an empty label"),
+            ("id: GO:12\nname:", "concept ID 'GO:12' does not match the GO pattern"),
+        ],
+    )
+    def test_bad_native_term_is_the_concept_error_with_its_line(self, term, message):
+        text = f"[Term]\nid: GO:0000001\nname: a\n\n[Term]\n{term}\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_obo(text, "GO")
+        assert str(excinfo.value) == f"line 5: {message}"
+
     def test_duplicate_label_rejected_for_go(self):
         text = "[Term]\nid: GO:0000001\nname: same label\n\n[Term]\nid: GO:0000002\nname: Same  Label\n"
         with pytest.raises(ParseError, match="label"):
@@ -136,13 +150,21 @@ class TestParseWikidata:
         assert len(ontology.concepts) == 1
         assert ontology.concepts[0].id == "Q1"
 
-    def test_bad_qid_is_error(self):
-        with pytest.raises(ParseError, match="QID"):
-            parse_wikidata_sample("qid,label,qrank\nP31,instance of,1.0\n")
-
-    def test_leading_zero_qid_is_error(self):
-        with pytest.raises(ParseError, match="QID"):
-            parse_wikidata_sample("qid,label,qrank\nQ042,Douglas Adams,1.0\n")
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("P31,instance of,1.0", "concept ID 'P31' does not match the WIKIDATA pattern"),
+            ("Q042,Douglas Adams,1.0", "concept ID 'Q042' does not match the WIKIDATA pattern"),
+            ("Q42, ,1.0", "concept Q42 has an empty label"),
+            # The ID is checked before the label, and both before the qrank.
+            ("P31,,x", "concept ID 'P31' does not match the WIKIDATA pattern"),
+            ("Q42,,x", "concept Q42 has an empty label"),
+        ],
+    )
+    def test_bad_row_is_the_concept_error_with_its_row(self, row, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_wikidata_sample(f"qid,label,qrank\nQ1,universe,9e9\n{row}\n")
+        assert str(excinfo.value) == f"Wikidata sample: row 3: {message}"
 
     def test_bad_qrank_is_error(self):
         with pytest.raises(ParseError, match="qrank"):

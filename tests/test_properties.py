@@ -722,24 +722,56 @@ def reference_concept_table(ontology: Ontology) -> str:
     return buf.getvalue()
 
 
+# A field holding CSV's specials and line breaks. The readers strip IDs and
+# source tags, so a field has no whitespace at either edge.
+TABLE_FIELDS = (
+    st.lists(st.one_of(st.characters(), st.sampled_from(["\r", "\n", "\r\n", '"', ",", "\u2028", "\x85"])), min_size=1)
+    .map(lambda parts: "".join(parts).strip())
+    .filter(bool)
+)
+
+
 @BOUNDED
 @given(
     kind=st.sampled_from([OntologyKind.GO, OntologyKind.WIKIDATA]),
     labels=st.lists(TABLE_LABELS, min_size=1, max_size=6, unique_by=normalize_label),
-    extras=st.integers(min_value=0, max_value=2),
+    extras=st.lists(TABLE_FIELDS, max_size=3),
 )
-@example(kind=OntologyKind.GO, labels=["typhoid\rfever"], extras=0)
-@example(kind=OntologyKind.WIKIDATA, labels=["a\r", "\rb", "plain"], extras=1)
+@example(kind=OntologyKind.GO, labels=["typhoid\rfever"], extras=[])
+@example(kind=OntologyKind.WIKIDATA, labels=["a\r", "\rb", "plain"], extras=["Q1000"])
+@example(kind=OntologyKind.GO, labels=["plain"], extras=["x\ry", 'a,"b"\u2028c\x85d'])
 def test_concept_table_round_trips(kind, labels, extras):
+    """Universe-only rows carry no ID pattern, so their IDs hold the specials too."""
     make_id = "GO:{:07d}".format if kind is OntologyKind.GO else "Q{}".format
     concepts = tuple(Concept(make_id(i), label, kind) for i, label in enumerate(labels, start=1))
-    universe = frozenset([c.id for c in concepts] + [make_id(1000 + i) for i in range(extras)])
+    universe = frozenset([c.id for c in concepts] + extras)
     ontology = Ontology(kind, concepts, universe)
     text = write_concept_table(ontology)
     assert read_concept_table(text) == ontology
     assert write_concept_table(read_concept_table(text)) == text
-    if not any("\r" in label for label in labels):
+    if "\r" not in "".join(labels + extras):
         assert text == reference_concept_table(ontology)
+
+
+@BOUNDED
+@given(
+    records=st.lists(
+        st.builds(OccurrenceRecord, TABLE_FIELDS, st.one_of(st.just(""), TABLE_FIELDS), st.integers(min_value=0)),
+        max_size=6,
+        unique_by=lambda record: record.concept_id,
+    )
+)
+@example(records=[OccurrenceRecord("GO:0000001", "web\rcounts", 3)])
+@example(records=[OccurrenceRecord("a\rb", "", 0), OccurrenceRecord("c\u2028d", 'x,"y"\n\x85z', 7)])
+def test_occurrences_round_trip(records):
+    text = write_occurrences(records)
+    assert read_occurrences(text) == records
+    if "\r" not in text:
+        reference = io.StringIO()
+        csv.writer(reference, lineterminator="\n").writerows(
+            [["source", "id", "occurrences"], *([r.source_tag, r.concept_id, r.count] for r in records)]
+        )
+        assert text == reference.getvalue()
 
 
 def reference_simulate_files(size, seed, max_exponent, style, sensitivity) -> dict[str, str]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -153,6 +154,69 @@ class TestIngest:
         assert on_disk["run_id"] == manifest.run_id
         assert on_disk["command"] == "ingest"
         assert Path(on_disk["outputs"]["concepts"]).exists()
+
+
+class TestByteOrderMark:
+    """A stage input that starts with a UTF-8 byte-order mark, as Excel writes
+    one, reads as the same file without it. Its manifest digest stays the
+    digest of the file's bytes, mark included."""
+
+    @staticmethod
+    def twins(tmp_path, name: str, text: str) -> tuple[Path, Path]:
+        plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        return plain, marked
+
+    @staticmethod
+    def assert_same_outputs(runs_by_path, output: str, keyword: str) -> None:
+        (plain, plain_out), (marked, marked_out) = runs_by_path
+        assert (marked_out / output).read_bytes() == (plain_out / output).read_bytes()
+        entry = json.loads((marked_out / "manifest.json").read_text(encoding="utf-8"))["inputs"][keyword]
+        entry = entry[0] if isinstance(entry, list) else entry
+        assert entry["sha256"] == hashlib.sha256(marked.read_bytes()).hexdigest() != runs.file_digest(plain)
+
+    @pytest.mark.parametrize(
+        "kind, name, text",
+        # The OBO file opens with a stanza, which a mark in front of it would hide.
+        [("go", "go.obo", GO_OBO[GO_OBO.index("[Term]"):]), ("icd10", "icd.csv", ICD_CSV), ("wikidata", "sample.csv", WIKIDATA_CSV)],
+        ids=["obo", "icd10", "wikidata"],
+    )
+    def test_ingest_source(self, tmp_path, kind, name, text):
+        done = []
+        for i, path in enumerate(self.twins(tmp_path, name, text)):
+            run_ingest(path, kind, tmp_path / f"out{i}")
+            done.append((path, tmp_path / f"out{i}"))
+        self.assert_same_outputs(done, "concepts.csv", "source_path")
+
+    def test_universe_list(self, tmp_path):
+        source = tmp_path / "sample.csv"
+        source.write_text(WIKIDATA_CSV, encoding="utf-8")
+        done = []
+        for i, path in enumerate(self.twins(tmp_path, "universe.txt", "Q1\nQ2\nQ42\nQ155\nQ308\nQ99999\n")):
+            run_ingest(source, "wikidata", tmp_path / f"out{i}", universe_path=path)
+            done.append((path, tmp_path / f"out{i}"))
+        self.assert_same_outputs(done, "concepts.csv", "universe_path")
+
+    def test_concept_table(self, tmp_path):
+        ontology = make_ontology(30)
+        done = []
+        for i, path in enumerate(self.twins(tmp_path, "concepts.csv", write_concept_table(ontology))):
+            run_probe(path, make_config(), tmp_path / f"out{i}", profile=make_profile(ontology, recall=0.5))
+            done.append((path, tmp_path / f"out{i}"))
+        self.assert_same_outputs(done, "scored.ndjson", "ontology_path")
+
+    def test_occurrence_file(self, tmp_path):
+        ontology = make_ontology(60)
+        concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
+        run_probe(concepts_path, make_config(), tmp_path / "probe", profile=monotone_profile(ontology))
+        text = occurrences_path.read_text(encoding="utf-8")
+        done = []
+        for i, path in enumerate(self.twins(tmp_path, "counts.csv", text)):
+            out = tmp_path / f"out{i}"
+            run_analyze(tmp_path / "probe" / "scored.ndjson", concepts_path, [path], out, buckets=6, permutations=100)
+            done.append((path, out))
+        self.assert_same_outputs(done, "analysis.json", "occurrence_paths")
 
 
 def write_corpus(tmp_path, ontology, counts=None):
