@@ -39,7 +39,7 @@ from typing import NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConfigurationError, ParseError, TransportExhausted
-from .ontology import OntologyKind, _checked_make
+from .ontology import OntologyKind, _checked_make, _read_input
 from .prompts import RenderedPrompt
 
 API_KEY_ENV = "ONTOPROBE_API_KEY"
@@ -124,8 +124,13 @@ class ModelConfig(_ModelConfigFields):
             raise ConfigurationError(f"temperature must be within [0,1], got {config.temperature}")
         if config.max_new_tokens < 1:
             raise ConfigurationError("max_new_tokens must be at least 1")
-        if provider in (Provider.CHAT_HTTP, Provider.COMPLETION_HTTP) and not config.endpoint:
+        http = provider is not Provider.SYNTHETIC
+        if http and not config.endpoint:
             raise ConfigurationError(f"{provider.value} requires an endpoint")
+        if not http and config.endpoint is not None:
+            raise ConfigurationError("endpoint applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC")
+        if http and config.profile_path is not None:
+            raise ConfigurationError(f"profile_path applies only to SYNTHETIC, not {provider.value}")
         if config.max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be at least 1")
         if config.max_attempts < 1:
@@ -160,13 +165,11 @@ class ModelConfig(_ModelConfigFields):
 
 
 def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError) -> dict:
-    """The JSON object in `path`. An unreadable file raises ConfigurationError,
-    invalid JSON or another JSON value `invalid`; the messages name `what`
-    and `path` as given."""
+    """The JSON object in `path`, read by `_read_input`. Invalid JSON or
+    another JSON value raises `invalid`; the messages name `what` and `path`
+    as given."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+        data = json.loads(_read_input(path, what))
     except ValueError as exc:
         raise invalid(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -16,9 +16,10 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 
 
 class OntologyKind(str, Enum):
@@ -232,14 +233,27 @@ def _ontology(kind: OntologyKind, concepts: list[Concept], universe: set[str]) -
         raise ParseError(str(exc)) from exc
 
 
+def _read_input(path: str | Path, what: str) -> str:
+    """The text of the stage input `what` at `path`, the one decoder of every
+    input: UTF-8, one leading byte-order mark (as Excel writes one) dropped,
+    line ends kept as written, so a quoted "\r" in a table reads as itself."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _csv_rows(text: str, expected_header: list[str], what: str):
     """Rows of a header-checked CSV as (row number, row), blank rows skipped.
+    A row ends at LF, CRLF or CR; a line end inside quotes stays in its field.
 
     Raises ParseError, prefixed with `what`, for a missing or wrong header,
     for a row whose width differs from the header's and for a row the csv
     module cannot read (a field over its size limit).
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -328,8 +342,8 @@ def _csv_text(header: list[str], rows: Iterable[tuple]) -> str:
     minimal quoting and "\n" line ends.
 
     The csv writer quotes a field holding "\n", its line terminator, but not
-    one holding "\r", which `_csv_rows` refuses outside quotes; so a table
-    holding "\r" is written again with every field quoted.
+    one holding "\r", which `_csv_rows` reads outside quotes as a line end;
+    so a table holding "\r" is written again with every field quoted.
     """
     rows = list(rows)
 

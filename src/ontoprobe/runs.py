@@ -56,6 +56,7 @@ from .ontology import (
     Ontology,
     OntologyKind,
     _csv_text,
+    _read_input,
     parse_icd10,
     parse_obo,
     parse_wikidata_sample,
@@ -74,8 +75,9 @@ from .popularity import (
 from .prompts import Language, PromptStyle, render, template_for
 from .stats import granger_f, spearman, worker as stats_worker
 
-BUCKET_TABLE_HEADER = "bucket,mean_occurrence,accuracy,avpi_pi1,avpi_pi2,avpi_pi3,mean_levenshtein,mean_jaccard,r_bi"
-SUMMARY_HEADER = "metric,value"
+BUCKET_TABLE_HEADER = ["bucket", "mean_occurrence", "accuracy", "avpi_pi1", "avpi_pi2", "avpi_pi3",
+                       "mean_levenshtein", "mean_jaccard", "r_bi"]
+SUMMARY_HEADER = ["metric", "value"]
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -184,25 +186,16 @@ def _ontology_descriptor(ontology: Ontology) -> dict:
     }
 
 
-def _read_text(path: str | Path) -> str:
-    """A stage input's text. A leading UTF-8 byte-order mark, as Excel writes
-    one, is dropped, so it cannot reach a header check."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
 def load_ontology(path: str | Path, kind: str | None = None) -> Ontology:
     """Read a canonical concept table, optionally checking its kind."""
-    ontology = read_concept_table(_read_text(path))
+    ontology = read_concept_table(_read_input(path, "concept table"))
     if kind is not None and ontology.kind is not OntologyKind(kind.upper()):
         raise ConfigurationError(f"{path} holds a {ontology.kind.value} table, expected {kind.upper()}")
     return ontology
 
 
 def _load_occurrences(path: str | Path) -> list[OccurrenceRecord]:
-    occurrences = read_occurrences(_read_text(path))
+    occurrences = read_occurrences(_read_input(path, "occurrence file"))
     if not occurrences:
         raise ParseError(f"{path} holds no occurrence records")
     return occurrences
@@ -261,13 +254,13 @@ def run_ingest(
         raise ConfigurationError(f"--max-code-chars applies only to --kind icd10, not {kind_enum.value.lower()}")
     elif max_code_chars < 0:
         raise ConfigurationError("--max-code-chars must be non-negative")
-    text = _read_text(source_path)
+    text = _read_input(source_path, f"{kind_enum.value} source")
     if kind_enum in (OntologyKind.GO, OntologyKind.UBERON):
         ontology = parse_obo(text, kind_enum.value)
     elif kind_enum is OntologyKind.ICD10:
         ontology = parse_icd10(text, max_code_chars=max_code_chars)
     else:
-        universe_text = None if universe_path is None else _read_text(universe_path)
+        universe_text = None if universe_path is None else _read_input(universe_path, "Wikidata universe")
         ontology = parse_wikidata_sample(text, universe_text)
     if not ontology.concepts:
         found = ""
@@ -409,7 +402,7 @@ def run_analyze(
     # while this one reads the inputs and does the per-record work.
     with stats_worker():
         ontology = load_ontology(ontology_path)
-        records = read_scored_records(_read_text(scored_path), ontology)
+        records = read_scored_records(_read_input(scored_path, "scored run"), ontology)
         if not records:
             raise ParseError(f"{scored_path} holds no scored records")
         occurrences = _load_occurrences(occurrence_paths[0])
@@ -514,7 +507,7 @@ def _compare_occurrences(
     seed: int,
     lag: int,
 ) -> dict:
-    secondary = read_occurrences(_read_text(secondary_path))
+    secondary = read_occurrences(_read_input(secondary_path, "occurrence file"))
     secondary_by_id = {r.concept_id: r for r in secondary}
     shared = [r for r in primary if r.concept_id in secondary_by_id]
     if len(shared) < 3:
@@ -738,14 +731,10 @@ def run_simulate(
     )
 
 
-def _format_cell(value) -> str:
-    """A number or null as its CSV cell; any other JSON value raises ValueError."""
-    if value is None:
-        return ""
-    if type(value) is float:
-        return repr(value)
-    if type(value) is int:
-        return str(value)
+def _table_cell(value):
+    """A number or null, as `_csv_text` writes it; any other JSON value raises ValueError."""
+    if value is None or type(value) in (int, float):
+        return value
     raise ValueError(f"a table cell must be a number or null, got {value!r}")
 
 
@@ -787,22 +776,21 @@ def run_report(
             for row in analysis["bias"]["per_bucket"]:
                 ratios[int(row["bucket"])] = row["ratio"]
 
-        lines = [BUCKET_TABLE_HEADER]
+        bucket_rows = []
         for row in analysis["per_bucket"]:
             bucket = int(row["bucket"])
             cells = [
-                str(bucket),
-                _format_cell(row.get("mean_occurrence")),
-                _format_cell(row.get("accuracy")),
-                _format_cell(avpi["PI1"].get(bucket)),
-                _format_cell(avpi["PI2"].get(bucket)),
-                _format_cell(avpi["PI3"].get(bucket)),
-                _format_cell(row.get("mean_levenshtein")),
-                _format_cell(row.get("mean_jaccard")),
-                _format_cell(ratios.get(bucket)),
+                row.get("mean_occurrence"),
+                row.get("accuracy"),
+                avpi["PI1"].get(bucket),
+                avpi["PI2"].get(bucket),
+                avpi["PI3"].get(bucket),
+                row.get("mean_levenshtein"),
+                row.get("mean_jaccard"),
+                ratios.get(bucket),
             ]
-            lines.append(",".join(cells))
-        bucket_table = "\n".join(lines) + "\n"
+            bucket_rows.append([bucket, *map(_table_cell, cells)])
+        bucket_table = _csv_text(BUCKET_TABLE_HEADER, bucket_rows)
 
         overall = analysis["overall"]
         summary_rows = [
@@ -823,7 +811,7 @@ def run_report(
             ("bias_k", analysis["bias"].get("k") if analysis.get("bias") else None),
             ("bias_unassigned", analysis["bias"].get("unassigned") if analysis.get("bias") else None),
         ]
-        summary = "\n".join([SUMMARY_HEADER, *(f"{name},{_format_cell(value)}" for name, value in summary_rows)]) + "\n"
+        summary = _csv_text(SUMMARY_HEADER, [(name, _table_cell(value)) for name, value in summary_rows])
 
     bucket_path = out_dir / "bucket_table.csv"
     summary_path = out_dir / "summary.csv"

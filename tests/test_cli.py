@@ -400,6 +400,31 @@ class TestUsageErrors:
         ],
     )
     def test_model_config_field_of_wrong_type_exits_two(self, tmp_path, capsys, field, changes):
+        code, err, probe = self._probe_with_changed_config(tmp_path, capsys, changes)
+        assert code == 2
+        assert f"{field} must be" in err
+        assert "Traceback" not in err
+        # Rejected before any model call: nothing was asked, cached or scored.
+        assert not probe.exists()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"endpoint": "http://127.0.0.1:9"}, "endpoint applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC"),
+            # `simulate`'s config names a profile, which an HTTP model never reads.
+            ({"provider": "CHAT_HTTP", "endpoint": "http://127.0.0.1:9"},
+             "profile_path applies only to SYNTHETIC, not CHAT_HTTP"),
+        ],
+        ids=["synthetic-endpoint", "http-profile"],
+    )
+    def test_model_config_field_of_another_provider_exits_two(self, tmp_path, capsys, changes, message):
+        code, err, probe = self._probe_with_changed_config(tmp_path, capsys, changes)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not probe.exists()
+
+    @staticmethod
+    def _probe_with_changed_config(tmp_path, capsys, changes):
+        """(exit code, stderr, out dir) of `probe` under `simulate`'s model config with `changes`."""
         sim = tmp_path / "sim"
         assert run_cli("simulate", "--size", "30", "--seed", "3", "--out", str(sim)) == 0
         config = json.loads((sim / "model_config.json").read_text(encoding="utf-8"))
@@ -412,12 +437,7 @@ class TestUsageErrors:
             "--model-config", str(sim / "model_config.json"),
             "--out", str(probe),
         )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert f"{field} must be" in err
-        assert "Traceback" not in err
-        # Rejected before any model call: nothing was asked, cached or scored.
-        assert not probe.exists()
+        return code, capsys.readouterr().err, probe
 
 
 class TestDegenerateExit:
@@ -725,27 +745,53 @@ class TestImportPath:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(leader.pid, signal.SIGKILL)
 
+    @staticmethod
+    def src_nodes():
+        """(module, enclosing def and class names, node) for every AST node in src/."""
+
+        def visit(node, module: str, scope: tuple[str, ...]):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = (*scope, node.name)
+            yield module, scope, node
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, module, scope)
+
+        for path in sorted(SRC.rglob("*.py")):
+            yield from visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+
     def test_one_csv_writer_in_src(self):
         """Every table is written through `ontology._csv_text`, so its quoting
         rule holds for all of them: nothing else in src/ builds a `csv.writer`."""
         writers, other_imports = [], []
-
-        def visit(node, module: str, scope: tuple[str, ...]) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scope = (*scope, node.name)
+        for module, scope, node in self.src_nodes():
             if isinstance(node, ast.Attribute) and node.attr == "writer" and getattr(node.value, "id", None) == "csv":
                 writers.append((module, scope))
             if isinstance(node, ast.ImportFrom) and node.module == "csv" or isinstance(node, ast.Import) and any(
                 alias.name == "csv" and alias.asname for alias in node.names
             ):
                 other_imports.append((module, ast.unparse(node)))
-            for child in ast.iter_child_nodes(node):
-                visit(child, module, scope)
-
-        for path in sorted(SRC.rglob("*.py")):
-            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
         assert other_imports == []
         assert writers == [("ontology", ("_csv_text", "text"))]
+
+    def test_one_decoder_of_stage_inputs_in_src(self):
+        """Every stage input is decoded by `ontology._read_input`, so its rules
+        (UTF-8, one leading byte-order mark dropped, line ends kept) hold for
+        all of them. Besides it, only the digest, the atomic writer, the
+        response cache (whose byte-level loader keeps its own torn-line rules)
+        and the package-data loader open or read a file."""
+        callers = set()
+        for module, scope, node in self.src_nodes():
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if name in ("open", "read_text", "read_bytes"):
+                    callers.add((module, scope[:1]))
+        assert sorted(callers) == [
+            ("gateway", ("ResponseCache",)),
+            ("ontology", ("_read_input",)),
+            ("prompts", ("_load_builtin",)),
+            ("runs", ("atomic_write_text",)),
+            ("runs", ("file_digest",)),
+        ]
 
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

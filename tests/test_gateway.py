@@ -56,6 +56,27 @@ class TestModelConfig:
             ModelConfig(Provider.CHAT_HTTP, "m")
 
     @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"provider": "SYNTHETIC", "endpoint": "https://a.test"},
+             "endpoint applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC"),
+            ({"provider": "SYNTHETIC", "endpoint": ""},
+             "endpoint applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC"),
+            ({"provider": "CHAT_HTTP", "endpoint": "https://a.test", "profile_path": "profile.json"},
+             "profile_path applies only to SYNTHETIC, not CHAT_HTTP"),
+            ({"provider": "COMPLETION_HTTP", "endpoint": "https://a.test", "profile_path": ""},
+             "profile_path applies only to SYNTHETIC, not COMPLETION_HTTP"),
+        ],
+        ids=["synthetic-endpoint", "synthetic-empty-endpoint", "chat-profile", "completion-empty-profile"],
+    )
+    def test_field_of_another_provider_refused(self, fields, message):
+        """A field the provider never reads would be silently ignored: the
+        run would measure another model than its config names."""
+        with pytest.raises(ConfigurationError) as raised:
+            ModelConfig.from_dict({"model_name": "m", **fields})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "change, message",
         [
             # NaN passed `<= 0` and then broke the throttle on its first request.

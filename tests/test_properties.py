@@ -44,6 +44,7 @@ from ontoprobe import (
     ResponseCache,
     Strategy,
     SyntheticProfile,
+    atomic_write_text,
     bucketize,
     canonical_icd10,
     completion_cue,
@@ -53,8 +54,11 @@ from ontoprobe import (
     granger_f,
     is_correct,
     levenshtein,
+    load_ontology,
     normalize_id,
     normalize_label,
+    parse_icd10,
+    parse_wikidata_sample,
     pi_value,
     read_concept_table,
     read_occurrences,
@@ -71,7 +75,8 @@ from ontoprobe import (
 )
 from ontoprobe import gateway as gateway_module
 from ontoprobe import metrics as metrics_module
-from ontoprobe.ontology import ID_PATTERNS
+from ontoprobe.ontology import CANONICAL_HEADER, ID_PATTERNS, _read_input
+from ontoprobe.runs import _load_occurrences
 from ontoprobe.stats import _average_ranks
 
 # Bounded so the suite stays quick; the deadline is generous because a
@@ -738,10 +743,12 @@ TABLE_FIELDS = (
     extras=st.lists(TABLE_FIELDS, max_size=3),
 )
 @example(kind=OntologyKind.GO, labels=["typhoid\rfever"], extras=[])
+@example(kind=OntologyKind.GO, labels=["typhoid\r\nfever"], extras=[])
 @example(kind=OntologyKind.WIKIDATA, labels=["a\r", "\rb", "plain"], extras=["Q1000"])
 @example(kind=OntologyKind.GO, labels=["plain"], extras=["x\ry", 'a,"b"\u2028c\x85d'])
 def test_concept_table_round_trips(kind, labels, extras):
-    """Universe-only rows carry no ID pattern, so their IDs hold the specials too."""
+    """Universe-only rows carry no ID pattern, so their IDs hold the specials
+    too. The table reads back the same from a file, as a stage reads it."""
     make_id = "GO:{:07d}".format if kind is OntologyKind.GO else "Q{}".format
     concepts = tuple(Concept(make_id(i), label, kind) for i, label in enumerate(labels, start=1))
     universe = frozenset([c.id for c in concepts] + extras)
@@ -751,6 +758,9 @@ def test_concept_table_round_trips(kind, labels, extras):
     assert write_concept_table(read_concept_table(text)) == text
     if "\r" not in "".join(labels + extras):
         assert text == reference_concept_table(ontology)
+    with tempfile.TemporaryDirectory() as tmp:
+        atomic_write_text(Path(tmp) / "concepts.csv", text)
+        assert load_ontology(Path(tmp) / "concepts.csv") == ontology
 
 
 @BOUNDED
@@ -762,16 +772,81 @@ def test_concept_table_round_trips(kind, labels, extras):
     )
 )
 @example(records=[OccurrenceRecord("GO:0000001", "web\rcounts", 3)])
+@example(records=[OccurrenceRecord("GO:0000001", "web\r\ncounts", 3)])
 @example(records=[OccurrenceRecord("a\rb", "", 0), OccurrenceRecord("c\u2028d", 'x,"y"\n\x85z', 7)])
 def test_occurrences_round_trip(records):
     text = write_occurrences(records)
     assert read_occurrences(text) == records
+    if records:  # a stage refuses an empty occurrence file
+        with tempfile.TemporaryDirectory() as tmp:
+            atomic_write_text(Path(tmp) / "occurrences.csv", text)
+            assert _load_occurrences(Path(tmp) / "occurrences.csv") == records
     if "\r" not in text:
         reference = io.StringIO()
         csv.writer(reference, lineterminator="\n").writerows(
             [["source", "id", "occurrences"], *([r.source_tag, r.concept_id, r.count] for r in records)]
         )
         assert text == reference.getvalue()
+
+
+def table_file(rows: list, line_end: str, mark: bool) -> bytes:
+    """`rows`, header first, as a CSV file with `line_end` after each row and
+    minimal quoting, or every field quoted when one holds a line break, as a
+    spreadsheet may save it; `mark` puts a UTF-8 byte-order mark in front."""
+    breaks = any("\r" in field or "\n" in field for row in rows for field in map(str, row))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=line_end, quoting=csv.QUOTE_ALL if breaks else csv.QUOTE_MINIMAL).writerows(rows)
+    return b"\xef\xbb\xbf" * mark + buf.getvalue().encode("utf-8")
+
+
+@BOUNDED
+@given(
+    labels=st.lists(TABLE_LABELS, min_size=1, max_size=5, unique_by=normalize_label),
+    tags=st.lists(st.one_of(st.just(""), TABLE_FIELDS), min_size=5, max_size=5),
+)
+@example(labels=["typhoid\rfever", "a\r\nb"], tags=["web\rx", "", "", "", ""])
+@example(labels=["plain", "rows"], tags=["web", "", "", "", ""])
+def test_csv_inputs_read_alike_whatever_their_line_ends(labels, tags):
+    """Each CSV stage input, saved with LF, CRLF or CR line ends, with or
+    without a byte-order mark, reads as the same value."""
+    numbers = range(1, len(labels) + 1)
+    ids, codes, qids = [f"GO:{i:07d}" for i in numbers], [f"A{i:02d}" for i in numbers], [f"Q{i}" for i in numbers]
+    tables = [
+        (
+            [CANONICAL_HEADER, *zip(["GO"] * len(ids), ids, labels)],
+            load_ontology,
+            Ontology(OntologyKind.GO, tuple(map(Concept, ids, labels, [OntologyKind.GO] * len(ids))), frozenset(ids)),
+        ),
+        (
+            [["source", "id", "occurrences"], *zip(tags, ids, numbers)],
+            _load_occurrences,
+            list(map(OccurrenceRecord, ids, tags, numbers)),
+        ),
+        (
+            [["code", "label"], *zip(codes, labels)],
+            lambda path: parse_icd10(_read_input(path, "ICD10 source")),
+            Ontology(
+                OntologyKind.ICD10,
+                tuple(Concept(code, label.strip(), OntologyKind.ICD10) for code, label in zip(codes, labels)),
+                frozenset(codes),
+            ),
+        ),
+        (
+            [["qid", "label", "qrank"], *zip(qids, labels, ["2.5"] * len(qids))],
+            lambda path: parse_wikidata_sample(_read_input(path, "WIKIDATA source")),
+            Ontology(
+                OntologyKind.WIKIDATA,
+                tuple(Concept(qid, label.strip(), OntologyKind.WIKIDATA) for qid, label in zip(qids, labels)),
+                frozenset(qids),
+            ),
+        ),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        for rows, read, expected in tables:
+            for line_end, mark in itertools.product(["\n", "\r\n", "\r"], [False, True]):
+                path.write_bytes(table_file(rows, line_end, mark))
+                assert read(path) == expected, (line_end, mark)
 
 
 def reference_simulate_files(size, seed, max_exponent, style, sensitivity) -> dict[str, str]:

@@ -97,7 +97,7 @@ RECORD_ARGS = {
     CorrelationResult: st.tuples(FLOATS, UNIT, COUNTS, st.integers()),
     GrangerResult: st.tuples(FLOATS, UNIT, COUNTS, COUNTS, st.tuples(COUNTS, COUNTS)),
     ModelConfig: st.tuples(
-        st.just(Provider.SYNTHETIC), TEXT, UNIT, st.integers(1, 100), st.none() | TEXT, st.integers(),
+        st.just(Provider.SYNTHETIC), TEXT, UNIT, st.integers(1, 100), st.none(), st.integers(),
         st.none() | TEXT, st.integers(1, 8), st.none() | st.floats(1e-3, 1e6), st.integers(1, 8), st.floats(0.0, 60.0),
     ),
     SyntheticProfile: st.tuples(

@@ -218,6 +218,66 @@ class TestByteOrderMark:
             done.append((path, out))
         self.assert_same_outputs(done, "analysis.json", "occurrence_paths")
 
+    @pytest.mark.parametrize(
+        "name, data, read",
+        [
+            ("model_config.json", {"provider": "SYNTHETIC", "model_name": "m", "seed": 3, "profile_path": "profile.json"},
+             ModelConfig.from_file),
+            ("profile.json", make_profile(make_ontology(3), recall=0.5).to_dict(), SyntheticProfile.from_file),
+        ],
+        ids=["model_config", "profile"],
+    )
+    def test_gateway_json_input(self, tmp_path, name, data, read):
+        plain, marked = self.twins(tmp_path, name, json.dumps(data))
+        assert read(marked) == read(plain)
+
+    REPORT_INPUTS = {
+        "analysis_path": {
+            "n_records": 2,
+            "per_bucket": [{"bucket": 1, "mean_occurrence": 3.5, "accuracy": 0.5}],
+            "overall": {"accuracy": 0.5},
+            "spearman": {"rho": 0.25},
+            "granger": {"lag": 3},
+            "bias": None,
+        },
+        "invariance_path": {"strategies": {"PI1": {"per_bucket": [{"bucket": 1, "avpi": 0.75}]}}},
+    }
+
+    @pytest.mark.parametrize("keyword", ["analysis_path", "invariance_path"])
+    def test_report_json_input(self, tmp_path, keyword):
+        inputs = {}
+        for name, data in self.REPORT_INPUTS.items():
+            inputs[name] = tmp_path / f"{name}.json"
+            inputs[name].write_text(json.dumps(data), encoding="utf-8")
+        done = []
+        for i, path in enumerate(self.twins(tmp_path, "input.json", json.dumps(self.REPORT_INPUTS[keyword]))):
+            run_report(out_dir=tmp_path / f"out{i}", **{**inputs, keyword: path})
+            done.append((path, tmp_path / f"out{i}"))
+        for output in ("bucket_table.csv", "summary.csv"):
+            self.assert_same_outputs(done, output, keyword)
+        assert (tmp_path / "out1" / "bucket_table.csv").read_text(encoding="utf-8").endswith("\n1,3.5,0.5,0.75,,,,,\n")
+
+
+@pytest.mark.parametrize("what", ["concept table", "occurrence file", "scored run", "GO source", "Wikidata universe"])
+def test_unreadable_input_names_itself(tmp_path, what):
+    """A text input that cannot be read is a ConfigurationError (exit 2)
+    naming what it is and its path, as a JSON input's is."""
+    concepts_path, occurrences_path = write_corpus(tmp_path, make_ontology(5))
+    absent = tmp_path / "absent"
+    (tmp_path / "sample.csv").write_text(WIKIDATA_CSV, encoding="utf-8")
+    read = {
+        "concept table": lambda: load_ontology(absent),
+        "occurrence file": lambda: runs._load_occurrences(absent),
+        "scored run": lambda: run_analyze(absent, concepts_path, [occurrences_path], tmp_path / "out"),
+        "GO source": lambda: run_ingest(absent, "go", tmp_path / "out"),
+        "Wikidata universe": lambda: run_ingest(tmp_path / "sample.csv", "wikidata", tmp_path / "out", universe_path=absent),
+    }[what]
+    with pytest.raises(OSError) as missing:
+        absent.read_bytes()
+    with pytest.raises(ConfigurationError) as raised:
+        read()
+    assert str(raised.value) == f"cannot read {what} {absent}: {missing.value}"
+
 
 def write_corpus(tmp_path, ontology, counts=None):
     """Concept table + occurrence file for a synthetic ontology.
