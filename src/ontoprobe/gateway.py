@@ -158,23 +158,24 @@ class ModelConfig(_ModelConfigFields):
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
         path = Path(path)
-        config = cls.from_dict(_read_json(path, "model config"))
+        config = cls.from_dict(_read_json(path, "model config")[0])
         if config.profile_path is not None and not os.path.isabs(config.profile_path):
             config = config._replace(profile_path=str((path.parent / config.profile_path).resolve()))
         return config
 
 
-def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError) -> dict:
-    """The JSON object in `path`, read by `_read_input`. Invalid JSON or
-    another JSON value raises `invalid`; the messages name `what` and `path`
-    as given."""
+def _read_json(path: str | Path, what: str, invalid: type[Exception] = ConfigurationError) -> tuple[dict, str]:
+    """The JSON object in `path` and the sha256 of its bytes, both from
+    `_read_input`. Invalid JSON or another JSON value raises `invalid`; the
+    messages name `what` and `path` as given."""
+    text, sha256 = _read_input(path, what)
     try:
-        data = json.loads(_read_input(path, what))
+        data = json.loads(text)
     except ValueError as exc:
         raise invalid(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise invalid(f"{what} {path} is not a JSON object")
-    return data
+    return data, sha256
 
 
 class ModelResponse(NamedTuple):
@@ -248,7 +249,7 @@ class SyntheticProfile(_SyntheticProfileFields):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SyntheticProfile":
-        return cls.from_dict(_read_json(path, "synthetic profile"))
+        return cls.from_dict(_read_json(path, "synthetic profile")[0])
 
     def to_dict(self) -> dict:
         rows = [
@@ -773,22 +774,13 @@ class ModelGateway:
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        payload = {"model": self.config.model_name, "temperature": temperature, "max_tokens": self.config.max_new_tokens}
         if self.config.provider is Provider.CHAT_HTTP:
             url = f"{base}/chat/completions"
-            payload = {
-                "model": self.config.model_name,
-                "temperature": temperature,
-                "max_tokens": self.config.max_new_tokens,
-                "messages": [{"role": "user", "content": prompt.text}],
-            }
+            payload["messages"] = [{"role": "user", "content": prompt.text}]
         else:
             url = f"{base}/completions"
-            payload = {
-                "model": self.config.model_name,
-                "temperature": temperature,
-                "max_tokens": self.config.max_new_tokens,
-                "prompt": prompt.text,
-            }
+            payload["prompt"] = prompt.text
 
         last_failure = "no attempt made"
         retry_after = None

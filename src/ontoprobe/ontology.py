@@ -11,6 +11,7 @@ file, which is what invention checks run against. A canonical CSV format
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import re
 from collections import Counter
@@ -233,12 +234,14 @@ def _ontology(kind: OntologyKind, concepts: list[Concept], universe: set[str]) -
         raise ParseError(str(exc)) from exc
 
 
-def _read_input(path: str | Path, what: str) -> str:
-    """The text of the stage input `what` at `path`, the one decoder of every
-    input: UTF-8, one leading byte-order mark (as Excel writes one) dropped,
-    line ends kept as written, so a quoted "\r" in a table reads as itself."""
+def _read_input(path: str | Path, what: str) -> tuple[str, str]:
+    """The text of the stage input `what` at `path` and the sha256 of the
+    bytes decoded, for the run manifest. The one reader of every input:
+    UTF-8, one leading byte-order mark (as Excel writes one) dropped, line
+    ends kept as written, so a quoted "\r" in a table reads as itself."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        data = Path(path).read_bytes()
+        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -1,14 +1,15 @@
 """Run orchestration: the functions behind the CLI subcommands.
 
 Every run writes its data outputs atomically (temp file + rename) plus a
-manifest recording each input file with its sha256, the run's parameters,
-seed and answering model, derived seeds, template keys, extraction
-patterns, and counts. All randomness in a run flows from one
-master seed, fanned out per purpose through derive_seed, so a single
-integer reproduces an experiment byte for byte. Data outputs are
-deterministic given (inputs, seed); the manifest additionally records a
-wall-clock timestamp and cache-hit counts, which naturally differ
-between a fresh run and a resumed one.
+manifest recording each input file with the sha256 of the bytes the stage
+parsed (taken by the one read of that file), the run's parameters, seed
+and answering model, derived seeds, template keys, extraction patterns,
+and counts. All randomness in a run flows from one master seed, fanned
+out per purpose through derive_seed, so a single integer reproduces an
+experiment byte for byte. Data outputs are deterministic given (inputs,
+seed); the manifest additionally records a wall-clock timestamp and
+cache-hit counts, which naturally differ between a fresh run and a
+resumed one.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def _write_json(path: str | Path, data) -> None:
 
 def _finish_run(out_dir: Path, command: str, inputs: dict, parameters: dict, seed=None, gateway=None, ontology=None,
                 template_keys=(), extraction_rules=(), derived_seeds=(), counts=(), outputs=()):
-    """Stamp, save and return the run's manifest. `inputs` (each a path, a list
-    of paths or None) and `parameters` are keyed by run_* keyword. The run id
-    hashes the command, the sha256 of each input, the parameters, the seed and
-    the model that answered (`gateway`), not where the inputs lie."""
-    recorded = {name: _input_entry(value) for name, value in inputs.items()}
+    """Stamp, save and return the run's manifest. `inputs` (each the `_entry`
+    of a file the stage read, a list of them or None) and `parameters` are
+    keyed by run_* keyword. The run id hashes the command, the sha256 of each
+    input, the parameters, the seed and the model that answered (`gateway`),
+    not where the inputs lie. It opens no input."""
     digests = {
         name: [e["sha256"] for e in entry] if isinstance(entry, list) else entry and entry["sha256"]
-        for name, entry in recorded.items()
+        for name, entry in inputs.items()
     }
     model = gateway and {
         "provider": gateway.config.provider.value,
@@ -155,20 +156,22 @@ def _finish_run(out_dir: Path, command: str, inputs: dict, parameters: dict, see
     run_id = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest = RunManifest(
-        run_id, command, stamp, recorded, parameters, seed, model, ontology, list(template_keys),
+        run_id, command, stamp, inputs, parameters, seed, model, ontology, list(template_keys),
         dict(extraction_rules), dict(derived_seeds), dict(counts), dict(outputs),
     )
     _write_json(out_dir / "manifest.json", manifest._asdict())
     return manifest
 
 
-def _input_entry(value):
-    """An input's manifest entry: {"path", "sha256"}, a list of them, or None."""
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [_input_entry(path) for path in value]
-    return {"path": str(value), "sha256": file_digest(value)}
+def _entry(path, sha256: str) -> dict:
+    """An input's manifest entry, `sha256` being that of the bytes the stage parsed."""
+    return {"path": str(path), "sha256": sha256}
+
+
+def _parsed(path, what: str, parse, *args) -> tuple:
+    """`parse(text, *args)` of the stage input `what` at `path`, and its manifest `_entry`."""
+    text, sha256 = _read_input(path, what)
+    return parse(text, *args), _entry(path, sha256)
 
 
 def _rule_digests() -> dict[str, str]:
@@ -188,23 +191,27 @@ def _ontology_descriptor(ontology: Ontology) -> dict:
 
 def load_ontology(path: str | Path, kind: str | None = None) -> Ontology:
     """Read a canonical concept table, optionally checking its kind."""
-    ontology = read_concept_table(_read_input(path, "concept table"))
+    return _load_ontology(path, kind)[0]
+
+
+def _load_ontology(path: str | Path, kind: str | None = None) -> tuple[Ontology, dict]:
+    ontology, entry = _parsed(path, "concept table", read_concept_table)
     if kind is not None and ontology.kind is not OntologyKind(kind.upper()):
         raise ConfigurationError(f"{path} holds a {ontology.kind.value} table, expected {kind.upper()}")
-    return ontology
+    return ontology, entry
 
 
-def _load_occurrences(path: str | Path) -> list[OccurrenceRecord]:
-    occurrences = read_occurrences(_read_input(path, "occurrence file"))
+def _load_occurrences(path: str | Path) -> tuple[list[OccurrenceRecord], dict]:
+    occurrences, entry = _parsed(path, "occurrence file", read_occurrences)
     if not occurrences:
         raise ParseError(f"{path} holds no occurrence records")
-    return occurrences
+    return occurrences, entry
 
 
 def _require_positive(**values: int) -> None:
-    """Reject a count option below 1 before the run does any work."""
+    """Reject a count option below 1, None being one not given, before the run does any work."""
     for name, value in values.items():
-        if value < 1:
+        if value is not None and value < 1:
             raise ConfigurationError(f"--{name.replace('_', '-')} must be positive")
 
 
@@ -254,13 +261,17 @@ def run_ingest(
         raise ConfigurationError(f"--max-code-chars applies only to --kind icd10, not {kind_enum.value.lower()}")
     elif max_code_chars < 0:
         raise ConfigurationError("--max-code-chars must be non-negative")
-    text = _read_input(source_path, f"{kind_enum.value} source")
+    text, sha256 = _read_input(source_path, f"{kind_enum.value} source")
+    inputs = {"source_path": _entry(source_path, sha256), "universe_path": None}
     if kind_enum in (OntologyKind.GO, OntologyKind.UBERON):
         ontology = parse_obo(text, kind_enum.value)
     elif kind_enum is OntologyKind.ICD10:
         ontology = parse_icd10(text, max_code_chars=max_code_chars)
     else:
-        universe_text = None if universe_path is None else _read_input(universe_path, "Wikidata universe")
+        universe_text = None
+        if universe_path is not None:
+            universe_text, sha256 = _read_input(universe_path, "Wikidata universe")
+            inputs["universe_path"] = _entry(universe_path, sha256)
         ontology = parse_wikidata_sample(text, universe_text)
     if not ontology.concepts:
         found = ""
@@ -274,7 +285,7 @@ def run_ingest(
     return _finish_run(
         out_dir,
         "ingest",
-        inputs={"source_path": source_path, "universe_path": universe_path},
+        inputs=inputs,
         parameters={"kind": kind_enum.value, "max_code_chars": max_code_chars},
         ontology=_ontology_descriptor(ontology),
         counts={"concepts": len(ontology.concepts), "universe": len(ontology.universe)},
@@ -310,9 +321,10 @@ def run_probe(
     code 4.
     """
     out_dir = Path(out_dir)
+    _require_positive(sample=sample)
     if not isinstance(config, ModelConfig):
         config = ModelConfig.from_file(config)
-    ontology = load_ontology(ontology_path, kind)
+    ontology, table = _load_ontology(ontology_path, kind)
     if not ontology.concepts:
         raise ConfigurationError(f"{ontology_path} has no probeable concepts")
 
@@ -322,13 +334,11 @@ def run_probe(
 
     concepts = list(ontology.concepts)
     derived: dict[str, int] = {}
-    if sample is not None:
-        _require_positive(sample=sample)
-        if sample < len(concepts):
-            derived["probe-sample"] = derive_seed(seed, "probe-sample")
-            rng = random.Random(derived["probe-sample"])
-            keep = sorted(rng.sample(range(len(concepts)), sample))
-            concepts = [concepts[i] for i in keep]
+    if sample is not None and sample < len(concepts):
+        derived["probe-sample"] = derive_seed(seed, "probe-sample")
+        rng = random.Random(derived["probe-sample"])
+        keep = sorted(rng.sample(range(len(concepts)), sample))
+        concepts = [concepts[i] for i in keep]
 
     with _open_gateway(config, out_dir, cache_path, profile, transport) as gateway:
         prompts = [render(template, concept) for concept in concepts]
@@ -352,7 +362,7 @@ def run_probe(
     return _finish_run(
         out_dir,
         "probe",
-        inputs={"ontology_path": ontology_path},
+        inputs={"ontology_path": table},
         parameters={"sample": sample, "style": prompt_style.value, "language": language},
         # The seed acts only on the --sample draw.
         seed=seed if derived else None,
@@ -401,11 +411,12 @@ def run_analyze(
     # The statistics run in a worker process that loads numpy and scipy
     # while this one reads the inputs and does the per-record work.
     with stats_worker():
-        ontology = load_ontology(ontology_path)
-        records = read_scored_records(_read_input(scored_path, "scored run"), ontology)
+        ontology, table = _load_ontology(ontology_path)
+        records, scored = _parsed(scored_path, "scored run", read_scored_records, ontology)
         if not records:
             raise ParseError(f"{scored_path} holds no scored records")
-        occurrences = _load_occurrences(occurrence_paths[0])
+        occurrences, primary = _load_occurrences(occurrence_paths[0])
+        inputs = {"scored_path": scored, "ontology_path": table, "occurrence_paths": [primary]}
 
         assignment = bucketize(occurrences, buckets)
         missing = {r.concept.id for r in records if r.concept.id not in assignment.membership}
@@ -478,8 +489,10 @@ def run_analyze(
         }
         # Read only after the primary test, whose degenerate series exits first.
         if len(occurrence_paths) == 2:
+            secondary, second = _parsed(occurrence_paths[1], "occurrence file", read_occurrences)
+            inputs["occurrence_paths"].append(second)
             report["occurrence_comparison"] = _compare_occurrences(
-                occurrences, Path(occurrence_paths[1]), buckets, permutations, derive_seed(seed, "analyze-comparison"), lag
+                occurrences, secondary, buckets, permutations, derive_seed(seed, "analyze-comparison"), lag
             )
 
     analysis_path = out_dir / "analysis.json"
@@ -487,7 +500,7 @@ def run_analyze(
     return _finish_run(
         out_dir,
         "analyze",
-        inputs={"scored_path": scored_path, "ontology_path": ontology_path, "occurrence_paths": occurrence_paths},
+        inputs=inputs,
         parameters={
             "buckets": buckets, "lag": lag, "permutations": permutations, "top_k": top_k, "allow_missing": allow_missing
         },
@@ -501,13 +514,12 @@ def run_analyze(
 
 def _compare_occurrences(
     primary: list[OccurrenceRecord],
-    secondary_path: Path,
+    secondary: list[OccurrenceRecord],
     buckets: int,
     permutations: int,
     seed: int,
     lag: int,
 ) -> dict:
-    secondary = read_occurrences(_read_input(secondary_path, "occurrence file"))
     secondary_by_id = {r.concept_id: r for r in secondary}
     shared = [r for r in primary if r.concept_id in secondary_by_id]
     if len(shared) < 3:
@@ -569,8 +581,8 @@ def run_invariance(
     with stats_worker(libraries=("numpy.random",)):
         if not isinstance(config, ModelConfig):
             config = ModelConfig.from_file(config)
-        ontology = load_ontology(ontology_path)
-        occurrences = _load_occurrences(occurrence_path)
+        ontology, table = _load_ontology(ontology_path)
+        occurrences, occurrence_entry = _load_occurrences(occurrence_path)
         prompt_style = _style_for(config, style)
 
         assignment = bucketize(occurrences, buckets)
@@ -625,7 +637,7 @@ def run_invariance(
     return _finish_run(
         out_dir,
         "invariance",
-        inputs={"ontology_path": ontology_path, "occurrence_path": occurrence_path},
+        inputs={"ontology_path": table, "occurrence_path": occurrence_entry},
         parameters={
             "strategies": [s.value for s in chosen],
             "buckets": buckets,
@@ -760,11 +772,13 @@ def run_report(
     header; summary.csv is a two-column metric,value table.
     """
     out_dir = Path(out_dir)
-    analysis = _read_json(analysis_path, "analysis file", ParseError)
+    analysis, sha256 = _read_json(analysis_path, "analysis file", ParseError)
+    inputs = {"analysis_path": _entry(analysis_path, sha256), "invariance_path": None}
 
     avpi: dict[str, dict[int, float]] = {"PI1": {}, "PI2": {}, "PI3": {}}
     if invariance_path is not None:
-        invariance_report = _read_json(invariance_path, "invariance report", ParseError)
+        invariance_report, sha256 = _read_json(invariance_path, "invariance report", ParseError)
+        inputs["invariance_path"] = _entry(invariance_path, sha256)
         with _malformed("invariance report", invariance_path):
             for name, strategy_report in invariance_report.get("strategies", {}).items():
                 for row in strategy_report.get("per_bucket", []):
@@ -821,7 +835,7 @@ def run_report(
     return _finish_run(
         out_dir,
         "report",
-        inputs={"analysis_path": analysis_path, "invariance_path": invariance_path},
+        inputs=inputs,
         parameters={},
         counts={"bucket_rows": len(analysis["per_bucket"])},
         outputs={"bucket_table": str(bucket_path), "summary": str(summary_path)},

@@ -251,6 +251,17 @@ class TestUsageErrors:
         assert code == 0
         assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["parameters"]["m_repeats"] == recorded
 
+    def test_probe_sample_zero_exits_two_before_reading_any_input(self, tmp_path, capsys):
+        config, out = tmp_path / "model_config.json", tmp_path / "probe"
+        config.write_text(json.dumps({"provider": "SYNTHETIC", "model_name": "m"}), encoding="utf-8")
+        code = run_cli(
+            "probe", "--ontology", str(tmp_path / "absent.csv"), "--model-config", str(config),
+            "--sample", "0", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --sample must be positive\n"
+        assert not out.exists()
+
     def test_missing_model_config(self, tmp_path, capsys):
         ontology = make_ontology(3)
         concepts_path, _ = write_corpus(tmp_path, ontology)
@@ -774,17 +785,22 @@ class TestImportPath:
         assert writers == [("ontology", ("_csv_text", "text"))]
 
     def test_one_decoder_of_stage_inputs_in_src(self):
-        """Every stage input is decoded by `ontology._read_input`, so its rules
-        (UTF-8, one leading byte-order mark dropped, line ends kept) hold for
-        all of them. Besides it, only the digest, the atomic writer, the
-        response cache (whose byte-level loader keeps its own torn-line rules)
-        and the package-data loader open or read a file."""
-        callers = set()
+        """Every stage input is read once, by `ontology._read_input`, so its
+        rules (UTF-8, one leading byte-order mark dropped, line ends kept) hold
+        for all of them, and the manifest records the sha256 it returns: the
+        digest of the bytes the stage parsed. Besides it, only
+        `runs.file_digest`, a public helper that nothing in src/ calls, the
+        atomic writer, the response cache (whose byte-level loader keeps its
+        own torn-line rules) and the package-data loader open or read a file."""
+        callers, digesters = set(), set()
         for module, scope, node in self.src_nodes():
             if isinstance(node, ast.Call):
                 name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
                 if name in ("open", "read_text", "read_bytes"):
                     callers.add((module, scope[:1]))
+                if name == "file_digest":
+                    digesters.add((module, scope))
+        assert digesters == set()
         assert sorted(callers) == [
             ("gateway", ("ResponseCache",)),
             ("ontology", ("_read_input",)),

@@ -665,10 +665,13 @@ class TestHttpDispatch:
         assert response.raw_text == "GO:0000001"
         url, payload, headers = transport.calls[0]
         assert url == "https://api.example.test/v1/chat/completions"
-        assert payload["model"] == "test-model"
-        assert payload["temperature"] == 0.0
-        assert payload["max_tokens"] == 10
-        assert payload["messages"] == [{"role": "user", "content": chat_prompt(concept).text}]
+        # Key order too, as it sets the request body's bytes.
+        assert list(payload.items()) == [
+            ("model", "test-model"),
+            ("temperature", 0.0),
+            ("max_tokens", 10),
+            ("messages", [{"role": "user", "content": chat_prompt(concept).text}]),
+        ]
         assert "Authorization" not in headers
 
     def test_completion_wire_shape(self):
@@ -680,8 +683,9 @@ class TestHttpDispatch:
         assert response.raw_text == "0000001"
         url, payload, _headers = transport.calls[0]
         assert url == "https://api.example.test/v1/completions"
-        assert payload["max_tokens"] == 10
-        assert payload["prompt"] == prompt.text
+        assert list(payload.items()) == [
+            ("model", "test-model"), ("temperature", 0.0), ("max_tokens", 10), ("prompt", prompt.text)
+        ]
 
     def test_api_key_header(self, monkeypatch):
         monkeypatch.setenv("ONTOPROBE_API_KEY", "sk-test-123")

@@ -780,7 +780,7 @@ def test_occurrences_round_trip(records):
     if records:  # a stage refuses an empty occurrence file
         with tempfile.TemporaryDirectory() as tmp:
             atomic_write_text(Path(tmp) / "occurrences.csv", text)
-            assert _load_occurrences(Path(tmp) / "occurrences.csv") == records
+            assert _load_occurrences(Path(tmp) / "occurrences.csv")[0] == records
     if "\r" not in text:
         reference = io.StringIO()
         csv.writer(reference, lineterminator="\n").writerows(
@@ -819,12 +819,12 @@ def test_csv_inputs_read_alike_whatever_their_line_ends(labels, tags):
         ),
         (
             [["source", "id", "occurrences"], *zip(tags, ids, numbers)],
-            _load_occurrences,
+            lambda path: _load_occurrences(path)[0],
             list(map(OccurrenceRecord, ids, tags, numbers)),
         ),
         (
             [["code", "label"], *zip(codes, labels)],
-            lambda path: parse_icd10(_read_input(path, "ICD10 source")),
+            lambda path: parse_icd10(_read_input(path, "ICD10 source")[0]),
             Ontology(
                 OntologyKind.ICD10,
                 tuple(Concept(code, label.strip(), OntologyKind.ICD10) for code, label in zip(codes, labels)),
@@ -833,7 +833,7 @@ def test_csv_inputs_read_alike_whatever_their_line_ends(labels, tags):
         ),
         (
             [["qid", "label", "qrank"], *zip(qids, labels, ["2.5"] * len(qids))],
-            lambda path: parse_wikidata_sample(_read_input(path, "WIKIDATA source")),
+            lambda path: parse_wikidata_sample(_read_input(path, "WIKIDATA source")[0]),
             Ontology(
                 OntologyKind.WIKIDATA,
                 tuple(Concept(qid, label.strip(), OntologyKind.WIKIDATA) for qid, label in zip(qids, labels)),

@@ -168,7 +168,7 @@ def test_records_are_immutable_values(cls, data):
 @BOUNDED
 @given(data=st.data())
 def test_statistics_cross_the_worker_pickle_unchanged(cls, data):
-    # ProcessPoolExecutor sends a result back with ForkingPickler.
+    # The stats worker returns a result over a multiprocessing pipe, which pickles with ForkingPickler.
     result = cls(*data.draw(RECORD_ARGS[cls]))
     copied = ForkingPickler.loads(ForkingPickler.dumps(result))
     assert type(copied) is cls

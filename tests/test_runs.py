@@ -49,7 +49,7 @@ from ontoprobe import (
     write_scored_records,
 )
 from ontoprobe import invariance as inv
-from ontoprobe import metrics, runs, stats
+from ontoprobe import gateway, metrics, runs, stats
 from ontoprobe.gateway import TransportFailure
 
 
@@ -1245,7 +1245,8 @@ ASSERTIONS = {"probe": {"kind"}}
 @pytest.fixture(scope="module")
 def stage_runs(tmp_path_factory):
     """Every stage once, off one `simulate --size 300`: per command, the
-    manifest on disk and the paths `runs.file_digest` read during the run."""
+    manifest on disk, the (path, sha256) that `_read_input` returned for each
+    file the run read, and the number of `runs.file_digest` calls."""
     root = tmp_path_factory.mktemp("stages")
     sim = root / "sim"
     (root / "go.obo").write_text(GO_OBO, encoding="utf-8")
@@ -1277,23 +1278,35 @@ def stage_runs(tmp_path_factory):
             root / "analyze" / "analysis.json", out, invariance_path=root / "invariance" / "invariance_report.json"
         ),
     }
-    file_digest = runs.file_digest
-    digested: Counter = Counter()
+    read_input, file_digest = runs._read_input, runs.file_digest
+    reads: list[tuple[str, str]] = []
+    digested: list[str] = []
+
+    def recording_read(path, what):
+        text, sha256 = read_input(path, what)
+        data = Path(path).read_bytes()
+        assert text == data.decode("utf-8-sig") and sha256 == hashlib.sha256(data).hexdigest()
+        reads.append((str(path), sha256))
+        return text, sha256
 
     def counting_digest(path):
-        digested[str(path)] += 1
+        digested.append(str(path))
         return file_digest(path)
 
     results = {}
     with pytest.MonkeyPatch.context() as patch:
+        # gateway reads the model config and the synthetic profile through its own binding.
+        for module in (runs, gateway):
+            patch.setattr(module, "_read_input", recording_read)
         patch.setattr(runs, "file_digest", counting_digest)
         for command, run in stages.items():
             out = sim if command == "simulate" else root / command
+            reads.clear()
             digested.clear()
             manifest = run(out)
             on_disk = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
             assert on_disk["run_id"] == manifest.run_id
-            results[command] = (on_disk, Counter(digested))
+            results[command] = (on_disk, list(reads), len(digested))
     return results
 
 
@@ -1307,7 +1320,7 @@ def _input_files(manifest: dict) -> list[dict]:
 class TestRunIdentity:
     @pytest.mark.parametrize("command", sorted(RUNNERS))
     def test_manifest_records_every_keyword_once(self, stage_runs, command):
-        manifest, _ = stage_runs[command]
+        manifest = stage_runs[command][0]
         signature = set(inspect.signature(RUNNERS[command]).parameters)
         keywords = signature - NOT_IDENTITY - ASSERTIONS.get(command, set())
         assert not set(manifest["inputs"]) & set(manifest["parameters"])
@@ -1316,18 +1329,54 @@ class TestRunIdentity:
         assert (manifest["model"] is not None) == ("config" in signature)
 
     @pytest.mark.parametrize("command", sorted(RUNNERS))
-    def test_each_input_digested_once(self, stage_runs, command):
-        manifest, digested = stage_runs[command]
-        files = _input_files(manifest)
-        assert sorted(digested.elements()) == sorted(entry["path"] for entry in files)
-        for entry in files:
-            assert entry["sha256"] == runs.file_digest(entry["path"])
+    def test_each_input_entry_digests_the_bytes_read(self, stage_runs, command):
+        """The manifest records an input with the digest that its one read
+        returned, and no stage digests a file apart from reading it."""
+        manifest, reads, digest_calls = stage_runs[command]
+        entries = [(entry["path"], entry["sha256"]) for entry in _input_files(manifest)]
+        assert Counter(entries) <= Counter(reads)
+        # Besides its manifest inputs, a stage reads only the model config and the profile it names.
+        assert {Path(path).name for path, _ in Counter(reads) - Counter(entries)} <= {"model_config.json", "profile.json"}
+        assert digest_calls == 0
+
+    @staticmethod
+    def probe_that_changes_its_table(tmp_path, change):
+        """A CHAT_HTTP probe of a 5-concept table that `change` alters on the
+        transport's first call, the table's bytes before it, and the manifest."""
+        concepts_path, _ = write_corpus(tmp_path, make_ontology(5))
+        parsed = concepts_path.read_bytes()
+        calls = []
+
+        def transport(url, payload, headers):
+            if not calls:
+                change(concepts_path)
+            calls.append(url)
+            return 200, {"choices": [{"message": {"content": "GO:0000001"}}]}
+
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+        manifest = run_probe(concepts_path, config, tmp_path / "run", transport=transport)
+        on_disk = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+        assert on_disk["run_id"] == manifest.run_id
+        assert len((tmp_path / "run" / "scored.ndjson").read_text(encoding="utf-8").splitlines()) == 5
+        return parsed, on_disk
+
+    def test_table_rewritten_during_probe_records_the_bytes_parsed(self, tmp_path):
+        parsed, manifest = self.probe_that_changes_its_table(
+            tmp_path, lambda path: atomic_write_text(path, write_concept_table(make_ontology(7)))
+        )
+        assert manifest["inputs"]["ontology_path"]["sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert manifest["counts"]["requested"] == 5
+
+    def test_table_deleted_during_probe_still_gets_a_manifest(self, tmp_path):
+        parsed, manifest = self.probe_that_changes_its_table(tmp_path, Path.unlink)
+        assert manifest["inputs"]["ontology_path"]["sha256"] == hashlib.sha256(parsed).hexdigest()
 
     def test_model_block_names_the_answering_model(self, stage_runs):
         model = stage_runs["probe"][0]["model"]
         assert set(model) == {"provider", "model_name", "temperature", "identity"}
         assert [model["provider"], model["model_name"], model["temperature"]] == ["SYNTHETIC", "synthetic-memorizer", 0.0]
         assert re.fullmatch(r"[0-9a-f]{64}", model["identity"])
+
     def test_inputs_copied_elsewhere_keep_run_ids(self, tmp_path):
         run_simulate(tmp_path / "a", size=300, seed=4)
         shutil.copytree(tmp_path / "a", tmp_path / "b")
