@@ -72,18 +72,3 @@ def extract_id(kind: OntologyKind, raw_text: str) -> str | None:
     m = pattern.search(raw_text)
     return None if m is None else normalize_id(kind, m.group(1))
 
-
-_COMPLETION_CUE = re.compile(r"(?:GO|UBERON):\s*\Z", re.IGNORECASE)
-
-
-def completion_cue(template_text: str) -> str:
-    """Trailing ID-prefix cue of a completion template, or "".
-
-    Completion prompts for prefixed ontologies end with the prefix
-    ("... is GO:") so the model continues with bare digits; those digits
-    only match the extraction pattern with the cue glued back on. ICD-10
-    and Wikidata templates end without a cue and their patterns match
-    bare answers directly.
-    """
-    m = _COMPLETION_CUE.search(template_text)
-    return m.group(0) if m else ""

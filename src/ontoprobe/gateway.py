@@ -104,6 +104,10 @@ _CONFIG_TYPES = (
     ("backoff_base", (int, float), "a number"),
 )
 
+# The fields only a request to an endpoint reads: SYNTHETIC refuses any
+# value but the default, which it would silently ignore.
+_HTTP_ONLY = ("max_new_tokens", "endpoint", "max_in_flight", "requests_per_minute", "max_attempts", "backoff_base")
+
 
 class ModelConfig(_ModelConfigFields):
     """Which model answers and how it is paced. `provider` may be given by
@@ -127,8 +131,9 @@ class ModelConfig(_ModelConfigFields):
         http = provider is not Provider.SYNTHETIC
         if http and not config.endpoint:
             raise ConfigurationError(f"{provider.value} requires an endpoint")
-        if not http and config.endpoint is not None:
-            raise ConfigurationError("endpoint applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC")
+        for name in () if http else _HTTP_ONLY:
+            if getattr(config, name) != cls._field_defaults[name]:
+                raise ConfigurationError(f"{name} applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC")
         if http and config.profile_path is not None:
             raise ConfigurationError(f"profile_path applies only to SYNTHETIC, not {provider.value}")
         if config.max_in_flight < 1:
@@ -157,10 +162,9 @@ class ModelConfig(_ModelConfigFields):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
-        path = Path(path)
         config = cls.from_dict(_read_json(path, "model config")[0])
         if config.profile_path is not None and not os.path.isabs(config.profile_path):
-            config = config._replace(profile_path=str((path.parent / config.profile_path).resolve()))
+            config = config._replace(profile_path=str((Path(path).parent / config.profile_path).resolve()))
         return config
 
 
@@ -479,9 +483,13 @@ class _Connections:
             while idle:
                 route = idle.pop()
                 # Readable while idle means end-of-file or bytes nobody asked
-                # for: either way the connection cannot carry a request.
-                if route[0].sock is not None and not select.select([route[0].sock], [], [], 0)[0]:
-                    return route
+                # for: either way the connection cannot carry a request. poll,
+                # unlike select, takes a descriptor numbered 1024 or more.
+                if route[0].sock is not None:
+                    poller = select.poll()
+                    poller.register(route[0].sock, select.POLLIN)
+                    if not poller.poll(0):
+                        return route
                 route[0].close()
             if target.scheme == "https" and self._tls is None:
                 import ssl

@@ -16,7 +16,7 @@ from enum import Enum
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .extraction import completion_cue, extract_id
+from .extraction import extract_id
 from .gateway import ModelGateway
 from .metrics import is_correct
 from .ontology import Concept, Ontology
@@ -99,30 +99,25 @@ def _run_calls(
     """Ask every concept once per (language, repetition tag, temperature)
     step and count its distinct answers.
 
-    Every (kind, language) template is resolved up front so a missing
-    translation fails before any call. The completion cue is a template's:
-    the label sits before its fixed closing text, so a prompt ends as its
-    template does.
+    A sweep's concepts share one kind, so one template per language is
+    resolved up front and a missing translation fails before any call.
     """
-    languages = list(dict.fromkeys(language for language, _tag, _temp in steps))
-    templates = {
-        (kind, language): template_for(kind, style, language)
-        for kind in dict.fromkeys(c.source for c in concepts)
-        for language in languages
-    }
-    cues = {key: completion_cue(template.text) for key, template in templates.items()}
+    if not concepts:
+        return []
+    templates = {language: template_for(concepts[0].source, style, language) for language, _tag, _temp in steps}
+    cues = {language: template.cue for language, template in templates.items()}
     # Flatten every (concept, step) pair into one batch so the gateway's
     # bounded parallelism covers the whole strategy, then regroup.
     items = []
     for concept in concepts:
-        prompts = {language: render(templates[concept.source, language], concept) for language in languages}
+        prompts = {language: render(template, concept) for language, template in templates.items()}
         items.extend((prompts[language], tag, temperature) for language, tag, temperature in steps)
     responses = gateway.complete_batch(items)
     records = []
     for i, concept in enumerate(concepts):
         span = slice(i * len(steps), (i + 1) * len(steps))
         answers = [
-            None if response is None else extract_id(concept.source, cues[concept.source, language] + response.raw_text)
+            None if response is None else extract_id(concept.source, cues[language] + response.raw_text)
             for (language, _tag, _temp), response in zip(steps, responses[span])
         ]
         u = unique_answers(answers)

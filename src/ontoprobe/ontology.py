@@ -238,7 +238,10 @@ def _read_input(path: str | Path, what: str) -> tuple[str, str]:
     """The text of the stage input `what` at `path` and the sha256 of the
     bytes decoded, for the run manifest. The one reader of every input:
     UTF-8, one leading byte-order mark (as Excel writes one) dropped, line
-    ends kept as written, so a quoted "\r" in a table reads as itself."""
+    ends kept as written, so a quoted "\r" in a table reads as itself. An
+    empty path is refused, not read as the current directory."""
+    if not str(path):
+        raise ConfigurationError(f"cannot read {what}: the path is empty")
     try:
         data = Path(path).read_bytes()
         return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()

@@ -10,6 +10,7 @@ with the untranslated label.
 from __future__ import annotations
 
 import functools
+import re
 from enum import Enum
 from importlib import resources
 from typing import NamedTuple
@@ -18,6 +19,7 @@ from .errors import ConfigurationError, ParseError
 from .ontology import Concept, OntologyKind, _checked_make, _csv_rows
 
 PLACEHOLDER = "{l}"
+_CUE = re.compile(r"(?:GO|UBERON):\s*\Z", re.IGNORECASE)
 
 
 class PromptStyle(str, Enum):
@@ -54,6 +56,15 @@ class PromptTemplate(_PromptTemplateFields):
     def key(self) -> tuple[OntologyKind, PromptStyle, Language]:
         """(ontology_kind, style, language): the first three fields."""
         return self[:3]
+
+    @property
+    def cue(self) -> str:
+        """The ID prefix the template ends on ("GO:", "UBERON:"), or "". A
+        completion model continues it with bare digits, which extraction
+        matches only with the cue glued back on; the label sits before the
+        fixed closing text, so every rendered prompt ends on the same cue."""
+        m = _CUE.search(self.text)
+        return m.group(0) if m else ""
 
 
 class RenderedPrompt(NamedTuple):
@@ -108,31 +119,25 @@ def load_translation_table(text: str) -> list[PromptTemplate]:
 
 
 @functools.cache
-def _load_builtin() -> dict[tuple[OntologyKind, PromptStyle, Language], PromptTemplate]:
+def _translations() -> dict[tuple[OntologyKind, PromptStyle, Language], PromptTemplate]:
+    """The shipped translations, parsed once: no repeated key, no EN row."""
     templates: dict[tuple, PromptTemplate] = {}
-    for kind, text in _CHAT_EN.items():
-        t = PromptTemplate(kind, PromptStyle.CHAT, Language.EN, text)
-        templates[t.key] = t
-    for kind, text in _COMPLETION_EN.items():
-        t = PromptTemplate(kind, PromptStyle.COMPLETION, Language.EN, text)
-        templates[t.key] = t
     data = resources.files("ontoprobe").joinpath("data/translations.csv").read_text(encoding="utf-8")
     for t in load_translation_table(data):
-        if t.key in templates:
+        if t.key in templates or t.language is Language.EN:
             raise ConfigurationError(f"translation table duplicates template {t.key}")
         templates[t.key] = t
-    for kind in OntologyKind:
-        for language in Language:
-            if language is Language.EN:
-                continue
-            if (kind, PromptStyle.CHAT, language) not in templates:
-                raise ConfigurationError(f"missing chat translation for {kind.value}/{language.value}")
     return templates
 
 
+@functools.cache
 def template_for(kind: OntologyKind, style: PromptStyle, language: Language) -> PromptTemplate:
-    """Look up one shipped template; configuration error when absent."""
-    template = _load_builtin().get((kind, style, language))
+    """Look up one shipped template, built on its first look-up; configuration
+    error when absent."""
+    english = {PromptStyle.CHAT: _CHAT_EN, PromptStyle.COMPLETION: _COMPLETION_EN}[style]
+    if language is Language.EN and kind in english:
+        return PromptTemplate(kind, style, language, english[kind])
+    template = _translations().get((kind, style, language))
     if template is None:
         raise ConfigurationError(f"no template for {kind.value}/{style.value}/{language.value}")
     return template

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import invariance as inv
 from .errors import ConfigurationError, DegenerateInputError, ParseError
-from .extraction import DEFAULT_PATTERNS, completion_cue, extract_id
+from .extraction import DEFAULT_PATTERNS, extract_id
 from .gateway import (
     HallucinationStyle,
     ModelConfig,
@@ -250,7 +250,6 @@ def run_ingest(
     for ICD10 only: either given with another kind is refused, and a run of
     another kind records neither.
     """
-    source_path = Path(source_path)
     out_dir = Path(out_dir)
     kind_enum = OntologyKind(kind.upper())
     if universe_path is not None and kind_enum is not OntologyKind.WIKIDATA:
@@ -344,7 +343,7 @@ def run_probe(
         prompts = [render(template, concept) for concept in concepts]
         responses = gateway.complete_batch([(p, 0, None) for p in prompts])
 
-    cue = completion_cue(template.text)
+    cue = template.cue
     records: list[ProbeRecord] = []
     failed = 0
     cached = 0
@@ -400,7 +399,6 @@ def run_analyze(
     series; a second file, when given, is compared against the first
     over shared concepts (same bucketing, per-bucket mean vs mean).
     """
-    scored_path = Path(scored_path)
     out_dir = Path(out_dir)
     if not occurrence_paths:
         raise ConfigurationError("analyze requires at least one occurrence file")

@@ -195,6 +195,27 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--universe", "error: cannot read Wikidata universe: the path is empty\n"),
+            ("--source", "error: cannot read WIKIDATA source: the path is empty\n"),
+        ],
+    )
+    def test_ingest_empty_path_is_refused_not_read_as_the_directory(
+        self, tmp_path, capsys, wikidata_csv_text, flag, message
+    ):
+        """`Path("")` is the current directory, which the stage once tried to read."""
+        source, out = tmp_path / "sample.csv", tmp_path / "out"
+        source.write_text(wikidata_csv_text, encoding="utf-8")
+        paths = {"--source": str(source), flag: ""}
+        code = run_cli("ingest", "--kind", "wikidata", *[x for pair in paths.items() for x in pair], "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == message
+        assert "'.'" not in err
+        assert not out.exists()
+
     def test_ingest_negative_max_code_chars_exits_two_naming_the_flag(self, tmp_path, capsys, icd_csv_text):
         source, out = tmp_path / "icd.csv", tmp_path / "out"
         source.write_text(icd_csv_text, encoding="utf-8")
@@ -425,8 +446,9 @@ class TestUsageErrors:
             # `simulate`'s config names a profile, which an HTTP model never reads.
             ({"provider": "CHAT_HTTP", "endpoint": "http://127.0.0.1:9"},
              "profile_path applies only to SYNTHETIC, not CHAT_HTTP"),
+            ({"max_attempts": 2}, "max_attempts applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC"),
         ],
-        ids=["synthetic-endpoint", "http-profile"],
+        ids=["synthetic-endpoint", "http-profile", "synthetic-max_attempts"],
     )
     def test_model_config_field_of_another_provider_exits_two(self, tmp_path, capsys, changes, message):
         code, err, probe = self._probe_with_changed_config(tmp_path, capsys, changes)
@@ -804,10 +826,27 @@ class TestImportPath:
         assert sorted(callers) == [
             ("gateway", ("ResponseCache",)),
             ("ontology", ("_read_input",)),
-            ("prompts", ("_load_builtin",)),
+            ("prompts", ("_translations",)),
             ("runs", ("atomic_write_text",)),
             ("runs", ("file_digest",)),
         ]
+
+    def test_no_select_select_and_no_cue_from_template_text_in_src(self):
+        """`select.select` refuses a descriptor numbered 1024 or more, so the
+        gateway checks an idle connection with `select.poll`. A completion's
+        ID-prefix cue is `PromptTemplate.cue`: no stage derives it again from
+        template text through the removed `extraction.completion_cue`."""
+        found = []
+        for module, scope, node in self.src_nodes():
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "select" and getattr(func.value, "id", None) == "select":
+                    found.append((module, scope, "select.select"))
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "completion_cue":
+                    found.append((module, scope, "completion_cue"))
+            if isinstance(node, ast.ImportFrom) and node.module == "select":
+                found.append((module, scope, ast.unparse(node)))
+        assert found == []
 
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

@@ -10,7 +10,6 @@ import pytest
 from ontoprobe import (
     DEFAULT_PATTERNS,
     OntologyKind,
-    completion_cue,
     extract_id,
     normalize_id,
 )
@@ -106,22 +105,6 @@ class TestExtractId:
                 got = extract_id(kind, text)
                 if got is not None:
                     assert ID_PATTERNS[kind].fullmatch(got), (kind, text, got)
-
-
-class TestCompletionCue:
-    def test_prefixed_templates(self):
-        assert completion_cue('In the Gene Ontology, the GO ID of the label "x" is GO:') == "GO:"
-        assert completion_cue('In the Uberon Ontology, the Uberon ID of the label "x" is UBERON:') == "UBERON:"
-
-    def test_uncued_templates(self):
-        assert completion_cue('In the ICD-10, the ICD-10 ID of the label "x" is') == ""
-        assert completion_cue('Provide the GO ID for the label "x". In the answer write only the corresponding GO ID.') == ""
-
-    def test_glues_bare_digit_continuations(self):
-        kind = OntologyKind.GO
-        prompt = 'In the Gene Ontology, the GO ID of the label "kidney development" is GO:'
-        assert extract_id(kind, completion_cue(prompt) + "0001822") == "GO:0001822"
-        assert extract_id(kind, completion_cue(prompt) + " 1822") == "GO:0001822"
 
 
 @pytest.fixture

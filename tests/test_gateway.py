@@ -40,6 +40,16 @@ def chat_prompt(concept: Concept):
     return render(template_for(concept.source, PromptStyle.CHAT, Language.EN), concept)
 
 
+# A value other than the default of each field only an HTTP request reads.
+_HTTP_ONLY_CHANGES = {
+    "max_new_tokens": {"max_new_tokens": 11},
+    "max_in_flight": {"max_in_flight": 9},
+    "requests_per_minute": {"requests_per_minute": 30.0},
+    "max_attempts": {"max_attempts": 2},
+    "backoff_base": {"backoff_base": 3.0},
+}
+
+
 class TestModelConfig:
     def test_temperature_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -66,8 +76,13 @@ class TestModelConfig:
              "profile_path applies only to SYNTHETIC, not CHAT_HTTP"),
             ({"provider": "COMPLETION_HTTP", "endpoint": "https://a.test", "profile_path": ""},
              "profile_path applies only to SYNTHETIC, not COMPLETION_HTTP"),
+            *(
+                ({"provider": "SYNTHETIC", **change}, f"{name} applies only to CHAT_HTTP and COMPLETION_HTTP, not SYNTHETIC")
+                for name, change in _HTTP_ONLY_CHANGES.items()
+            ),
         ],
-        ids=["synthetic-endpoint", "synthetic-empty-endpoint", "chat-profile", "completion-empty-profile"],
+        ids=["synthetic-endpoint", "synthetic-empty-endpoint", "chat-profile", "completion-empty-profile",
+             *(f"synthetic-{name}" for name in _HTTP_ONLY_CHANGES)],
     )
     def test_field_of_another_provider_refused(self, fields, message):
         """A field the provider never reads would be silently ignored: the
@@ -75,6 +90,12 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError) as raised:
             ModelConfig.from_dict({"model_name": "m", **fields})
         assert str(raised.value) == message
+
+    def test_synthetic_accepts_http_only_fields_at_their_defaults(self):
+        defaults = {"max_new_tokens": 10, "endpoint": None, "max_in_flight": 4, "requests_per_minute": None,
+                    "max_attempts": 5, "backoff_base": 0.5}
+        config = ModelConfig.from_dict({"provider": "SYNTHETIC", "model_name": "m", **defaults})
+        assert config == ModelConfig(Provider.SYNTHETIC, "m")
 
     @pytest.mark.parametrize(
         "change, message",
@@ -90,6 +111,17 @@ class TestModelConfig:
     def test_pacing_values_out_of_range_rejected(self, change, message):
         with pytest.raises(ConfigurationError, match=message):
             ModelConfig.from_dict({**_HTTP_BASE, **change})
+
+    @pytest.mark.parametrize("fields", [{"model_name": "m"}, {"provider": "SYNTHETIC"}, {}])
+    def test_provider_and_model_name_required(self, fields):
+        with pytest.raises(ConfigurationError) as raised:
+            ModelConfig.from_dict(fields)
+        assert str(raised.value) == "model config requires provider and model_name"
+
+    def test_max_in_flight_below_one_rejected(self):
+        with pytest.raises(ConfigurationError) as raised:
+            ModelConfig.from_dict({**_HTTP_BASE, "max_in_flight": 0})
+        assert str(raised.value) == "max_in_flight must be at least 1"
 
     def test_replace_runs_the_checks(self):
         config = ModelConfig.from_dict(_HTTP_BASE)
@@ -188,7 +220,7 @@ class TestGatewayIdentity:
     def test_http_answer_fields_change_key(self, change):
         assert _gateway_key({**_HTTP_BASE, **change}) != _gateway_key(_HTTP_BASE)
 
-    @pytest.mark.parametrize("change", _PACING + [{"max_new_tokens": 11}, {"profile_path": "/moved/profile.json"}])
+    @pytest.mark.parametrize("change", [{"temperature": 0.7}, {"profile_path": "/moved/profile.json"}])
     def test_synthetic_fields_outside_answers_leave_key(self, change):
         profile = make_profile(make_ontology(3), recall=0.5)
         base = {"provider": "SYNTHETIC", "model_name": "m"}
@@ -1019,6 +1051,20 @@ class TestSyntheticProfileIO:
             SyntheticProfile.from_dict(
                 {"concepts": [{"id": "GO:0000001", "recall": 1.7}], "hallucination_style": "INVENTED"}
             )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"id": "GO:0000001"}, "invalid synthetic profile: 'recall'"),
+            ({"id": "GO:0000001", "recall": 0.5, "popularity": -1}, "negative popularity for GO:0000001"),
+        ],
+    )
+    def test_bad_concept_row_rejected(self, row, message):
+        from ontoprobe import SyntheticProfile
+
+        with pytest.raises(ConfigurationError) as raised:
+            SyntheticProfile.from_dict({"concepts": [row]})
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("sensitivity", [-0.5, float("inf"), float("nan")])
     def test_sensitivity_must_be_finite_and_non_negative(self, sensitivity):

@@ -96,6 +96,18 @@ class TestParseObo:
             parse_obo(text, "GO")
         assert str(excinfo.value) == f"line 5: {message}"
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[Term]\nid:\nname: x\n", 1),
+            ("format-version: 1.2\n\n[Term]\nid: GO:0000001\nname: x\n\n[Term]\nid: \nname: y\n", 7),
+        ],
+    )
+    def test_empty_term_id_is_error_with_its_line(self, text, line):
+        with pytest.raises(ParseError) as excinfo:
+            parse_obo(text, "GO")
+        assert str(excinfo.value) == f"line {line}: [Term] stanza has an empty id"
+
     def test_duplicate_label_rejected_for_go(self):
         text = "[Term]\nid: GO:0000001\nname: same label\n\n[Term]\nid: GO:0000002\nname: Same  Label\n"
         with pytest.raises(ParseError, match="label"):
@@ -135,6 +147,17 @@ class TestParseIcd10:
         with pytest.raises(ParseError, match="header"):
             parse_icd10("id,name\nA00,Cholera\n")
 
+    def test_malformed_code_is_error_with_row(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_icd10("code,label\nA00,Cholera\nA0,short\n")
+        assert str(excinfo.value) == "ICD-10 table: row 3 has malformed code 'A0'"
+
+    @pytest.mark.parametrize("code, canon", [("a00", "A00"), ("A000", "A00.0")])
+    def test_duplicate_code_after_canonicalising_is_error_with_row(self, code, canon):
+        with pytest.raises(ParseError) as excinfo:
+            parse_icd10(f"code,label\nA00,Cholera\nA00.0,Cholera due to Vibrio\n{code},again\n")
+        assert str(excinfo.value) == f"ICD-10 table: row 4 duplicates code {canon}"
+
     def test_codes_canonicalized(self):
         ontology = parse_icd10("code,label\ne119,diabetes\n")
         assert ontology.concepts[0].id == "E11.9"
@@ -165,6 +188,11 @@ class TestParseWikidata:
         with pytest.raises(ParseError) as excinfo:
             parse_wikidata_sample(f"qid,label,qrank\nQ1,universe,9e9\n{row}\n")
         assert str(excinfo.value) == f"Wikidata sample: row 3: {message}"
+
+    def test_duplicate_qid_is_error_with_row(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_wikidata_sample("qid,label,qrank\nQ1,universe,9e9\nQ42,Douglas Adams,1.0\nQ1,cosmos,2.0\n")
+        assert str(excinfo.value) == "Wikidata sample: row 4 duplicates QID Q1"
 
     def test_bad_qrank_is_error(self):
         with pytest.raises(ParseError, match="qrank"):

@@ -12,6 +12,7 @@ from ontoprobe import (
     OntologyKind,
     PromptStyle,
     PromptTemplate,
+    extract_id,
     render,
     template_for,
 )
@@ -71,6 +72,34 @@ class TestBuiltinTemplates:
     def test_missing_completion_translation(self):
         with pytest.raises(ConfigurationError):
             template_for(OntologyKind.GO, PromptStyle.COMPLETION, Language.IT)
+
+
+class TestCue:
+    """The ID prefix a template ends on, which run_probe and the invariance
+    sweeps glue back onto a completion before extracting the ID."""
+
+    def test_cue_of_every_shipped_template(self):
+        prefixed = {
+            (OntologyKind.GO, PromptStyle.COMPLETION, Language.EN): "GO:",
+            (OntologyKind.UBERON, PromptStyle.COMPLETION, Language.EN): "UBERON:",
+        }
+        templates = shipped_templates()
+        assert len(templates) == 24
+        for template in templates:
+            assert template.cue == prefixed.get(template.key, ""), template.key
+            assert template.text.endswith(template.cue)
+
+    def test_cue_glues_bare_digit_continuations(self):
+        for template in shipped_templates():
+            if template.cue:
+                kind = template.ontology_kind
+                assert extract_id(kind, template.cue + "0001822") == f"{kind.value}:0001822"
+                assert extract_id(kind, template.cue + " 1822") == f"{kind.value}:0001822"
+
+    def test_cue_keeps_trailing_space_and_ignores_case(self):
+        template = PromptTemplate(OntologyKind.GO, PromptStyle.COMPLETION, Language.EN, 'label "{l}", id go: ')
+        assert template.cue == "go: "
+        assert PromptTemplate(OntologyKind.GO, PromptStyle.COMPLETION, Language.EN, "{l} is GO: x").cue == ""
 
 
 class TestRender:

@@ -47,7 +47,6 @@ from ontoprobe import (
     atomic_write_text,
     bucketize,
     canonical_icd10,
-    completion_cue,
     default_recall_curve,
     derive_seed,
     extract_id,
@@ -76,6 +75,7 @@ from ontoprobe import (
 from ontoprobe import gateway as gateway_module
 from ontoprobe import metrics as metrics_module
 from ontoprobe.ontology import CANONICAL_HEADER, ID_PATTERNS, _read_input
+from ontoprobe.prompts import _CUE
 from ontoprobe.runs import _load_occurrences
 from ontoprobe.stats import _average_ranks
 
@@ -701,15 +701,20 @@ SAMPLE_IDS = {
 
 @BOUNDED
 @given(label=st.one_of(AWKWARD_LABELS, st.sampled_from(["is GO:", "UBERON: ", "GO:\n", "x GO:"])))
-def test_completion_cue_of_template_equals_cue_of_prompt(label):
+def test_template_cue_equals_cue_of_prompt(label):
+    """Whatever the label, a rendered prompt ends on its template's cue and
+    on no other: the cue taken from the template is the prompt's own."""
     for template in shipped_templates():
         concept = Concept(SAMPLE_IDS[template.ontology_kind], label, template.ontology_kind)
-        assert completion_cue(template.text) == completion_cue(render(template, concept).text)
+        m = _CUE.search(render(template, concept).text)
+        assert template.cue == (m.group(0) if m else "")
 
 
 # "\r" and "\n" inside a label, alone or paired, next to CSV's own specials.
+# Table text is written to a UTF-8 file, which cannot hold a lone surrogate.
+FILE_CHARS = st.characters(codec="utf-8")
 TABLE_LABELS = (
-    st.lists(st.one_of(st.characters(), AWKWARD_CHARS, st.sampled_from(["\r", "\r\n", "\n\r", ",", '""'])), min_size=1)
+    st.lists(st.one_of(FILE_CHARS, AWKWARD_CHARS, st.sampled_from(["\r", "\r\n", "\n\r", ",", '""'])), min_size=1)
     .map("".join)
     .filter(str.strip)
 )
@@ -730,7 +735,7 @@ def reference_concept_table(ontology: Ontology) -> str:
 # A field holding CSV's specials and line breaks. The readers strip IDs and
 # source tags, so a field has no whitespace at either edge.
 TABLE_FIELDS = (
-    st.lists(st.one_of(st.characters(), st.sampled_from(["\r", "\n", "\r\n", '"', ",", "\u2028", "\x85"])), min_size=1)
+    st.lists(st.one_of(FILE_CHARS, st.sampled_from(["\r", "\n", "\r\n", '"', ",", "\u2028", "\x85"])), min_size=1)
     .map(lambda parts: "".join(parts).strip())
     .filter(bool)
 )

@@ -96,9 +96,10 @@ RECORD_ARGS = {
     ),
     CorrelationResult: st.tuples(FLOATS, UNIT, COUNTS, st.integers()),
     GrangerResult: st.tuples(FLOATS, UNIT, COUNTS, COUNTS, st.tuples(COUNTS, COUNTS)),
+    # SYNTHETIC refuses any value but the default of a field only HTTP reads.
     ModelConfig: st.tuples(
-        st.just(Provider.SYNTHETIC), TEXT, UNIT, st.integers(1, 100), st.none(), st.integers(),
-        st.none() | TEXT, st.integers(1, 8), st.none() | st.floats(1e-3, 1e6), st.integers(1, 8), st.floats(0.0, 60.0),
+        st.just(Provider.SYNTHETIC), TEXT, UNIT, st.just(10), st.none(), st.integers(),
+        st.none() | TEXT, st.just(4), st.none(), st.just(5), st.just(0.5),
     ),
     SyntheticProfile: st.tuples(
         st.dictionaries(GO_IDS, UNIT, max_size=3), st.sampled_from(HallucinationStyle),

@@ -81,6 +81,15 @@ class TestAtomicWrite:
         atomic_write_text(target, "two")
         assert target.read_text(encoding="utf-8") == "two"
 
+    def test_failed_write_leaves_no_temp_file_and_the_old_target(self, tmp_path):
+        target = tmp_path / "file.txt"
+        atomic_write_text(target, "old\n")
+        # A lone surrogate has no UTF-8 form: the write raises midway.
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "new \ud800\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+        assert target.read_text(encoding="utf-8") == "old\n"
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_mode_follows_umask(self, tmp_path, umask):
         old = os.umask(umask)
@@ -799,6 +808,43 @@ class TestAnalyze:
             )
 
 
+class TestAnalyzeRefusals:
+    """Inputs that leave nothing to analyze stop the stage before any output."""
+
+    @pytest.fixture
+    def probed(self, tmp_path):
+        ontology = make_ontology(24)
+        concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
+        run_probe(concepts_path, make_config(), tmp_path / "probe", profile=monotone_profile(ontology))
+        return tmp_path / "probe" / "scored.ndjson", concepts_path, occurrences_path
+
+    def _refusal(self, tmp_path, scored, concepts, occurrences, **kwargs):
+        with pytest.raises((ConfigurationError, ParseError)) as raised:
+            run_analyze(scored, concepts, [occurrences], tmp_path / "analysis", buckets=4, permutations=100, **kwargs)
+        assert not (tmp_path / "analysis").exists()
+        return str(raised.value)
+
+    def test_header_only_occurrence_file(self, tmp_path, probed):
+        scored, concepts, _ = probed
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("source,id,occurrences\n", encoding="utf-8")
+        message = self._refusal(tmp_path, scored, concepts, header_only)
+        assert message == f"{header_only} holds no occurrence records"
+
+    def test_empty_scored_run(self, tmp_path, probed):
+        _, concepts, occurrences = probed
+        empty = tmp_path / "empty.ndjson"
+        empty.write_text("", encoding="utf-8")
+        assert self._refusal(tmp_path, empty, concepts, occurrences) == f"{empty} holds no scored records"
+
+    def test_every_row_missing_under_allow_missing(self, tmp_path, probed):
+        scored, concepts, _ = probed
+        elsewhere = tmp_path / "elsewhere.csv"
+        atomic_write_text(elsewhere, write_occurrences([OccurrenceRecord("GO:0999999", "corpus", 3)]))
+        message = self._refusal(tmp_path, scored, concepts, elsewhere, allow_missing=True)
+        assert message == "all scored records were excluded for missing occurrence rows"
+
+
 class TestAnalyzeWorker:
     """analyze computes its statistics in one worker process (stats.worker)."""
 
@@ -864,6 +910,15 @@ class TestInvarianceRun:
         concepts_path, occurrences_path = write_corpus(tmp_path, ontology)
         profile = monotone_profile(ontology, temperature_sensitivity=1.0)
         return ontology, concepts_path, occurrences_path, profile
+
+    def test_occurrence_file_naming_no_concept_is_refused(self, tmp_path):
+        ontology, concepts_path, _, profile = self._setup(tmp_path)
+        elsewhere = tmp_path / "elsewhere.csv"
+        atomic_write_text(elsewhere, write_occurrences([OccurrenceRecord("GO:0999999", "corpus", 3)]))
+        with pytest.raises(ConfigurationError) as raised:
+            run_invariance(concepts_path, make_config(), elsewhere, tmp_path / "inv", buckets=4, profile=profile)
+        assert str(raised.value) == "sampling produced no concepts; occurrence file matches no ontology concepts"
+        assert not (tmp_path / "inv").exists()
 
     def test_all_strategies_end_to_end(self, tmp_path):
         _, concepts_path, occurrences_path, profile = self._setup(tmp_path)
@@ -1401,15 +1456,19 @@ class TestRunIdentity:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("max_in_flight", 1), ("requests_per_minute", 600.0), ("max_attempts", 2), ("backoff_base", 0.0)],
+        [("max_in_flight", 1), ("requests_per_minute", 60000.0), ("max_attempts", 2), ("backoff_base", 0.0)],
     )
     def test_pacing_and_retry_settings_leave_run_id(self, tmp_path, name, value):
+        """Only HTTP reads these settings; SYNTHETIC refuses them."""
         ontology = make_ontology(20)
         concepts_path, _ = write_corpus(tmp_path, ontology)
-        profile = make_profile(ontology, recall=0.5)
-        base = run_probe(concepts_path, make_config(), tmp_path / "base", profile=profile)
-        tuned_config = make_config()._replace(**{name: value})
-        tuned = run_probe(concepts_path, tuned_config, tmp_path / "tuned", profile=profile)
+
+        def transport(url, payload, headers):
+            return 200, {"choices": [{"message": {"content": payload["messages"][0]["content"][-12:]}}]}
+
+        config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test")
+        base = run_probe(concepts_path, config, tmp_path / "base", transport=transport)
+        tuned = run_probe(concepts_path, config._replace(**{name: value}), tmp_path / "tuned", transport=transport)
         assert (tmp_path / "base" / "scored.ndjson").read_bytes() == (tmp_path / "tuned" / "scored.ndjson").read_bytes()
         assert base.run_id == tuned.run_id
 

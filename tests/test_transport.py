@@ -8,6 +8,8 @@ import base64
 import datetime
 import ipaddress
 import json
+import os
+import resource
 import select
 import socket
 import ssl
@@ -20,6 +22,7 @@ import pytest
 
 from conftest import make_ontology
 from ontoprobe import (
+    ConfigurationError,
     Language,
     ModelConfig,
     ModelGateway,
@@ -60,6 +63,24 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(ANSWER)
         if server.close_after_response:
             self.close_connection = True
+
+    def log_message(self, format, *args) -> None:
+        pass
+
+
+class _TextHandler(BaseHTTPRequestHandler):
+    """Answers every request 200 with a body that is not JSON."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self) -> None:
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b"<html>service busy</html>"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
     def log_message(self, format, *args) -> None:
         pass
@@ -225,6 +246,51 @@ def test_connections_kept_across_batches(serve):
         gateway.close()
     assert len(server.requests) == 6
     assert server.accepted == 1
+
+
+def test_kept_alive_connection_on_a_descriptor_above_1023(serve):
+    """`select.select` refuses a descriptor numbered 1024 or more, so a
+    gateway in a process holding that many files crashed on its second
+    request, when it checked its idle connection before reuse."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1100:
+        pytest.skip(f"the hard descriptor limit {hard} is below 1100")
+    server = serve()
+    held = []
+    try:
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+        # A new descriptor takes the lowest free number: hold every one below 1024.
+        while not held or held[-1] < 1023:
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        with socket.socket() as probe:
+            assert probe.fileno() >= 1024
+        gateway = _gateway(server.url, [], max_in_flight=1, max_attempts=1)
+        try:
+            answers = [gateway.complete(*item).raw_text for item in _items(3)]
+        finally:
+            gateway.close()
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert answers == ["GO:0000001"] * 3
+    assert server.accepted == 1
+
+
+def test_success_whose_body_is_not_json_is_a_configuration_error(serve):
+    """A 200 that is not the provider's JSON shape means a wrong endpoint:
+    retrying cannot help, and the run stops naming it."""
+    server = serve(handler=_TextHandler)
+    sleeps = []
+    gateway = _gateway(server.url, sleeps, max_in_flight=1, max_attempts=3)
+    try:
+        with pytest.raises(ConfigurationError) as raised:
+            gateway.complete(*_items(1)[0])
+    finally:
+        gateway.close()
+    assert str(raised.value) == "unexpected response shape from endpoint: AssertionError()"
+    assert sleeps == []
 
 
 def test_server_closing_idle_connections_costs_no_retry(serve):
