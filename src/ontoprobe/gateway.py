@@ -32,14 +32,13 @@ import threading
 import time
 from collections import deque
 from enum import Enum
-from json.decoder import scanstring
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .errors import ConfigurationError, ParseError, TransportExhausted
-from .ontology import OntologyKind, _checked_make, _read_input
+from .ontology import OntologyKind, _checked_make, _json_line, _read_input
 from .prompts import RenderedPrompt
 
 API_KEY_ENV = "ONTOPROBE_API_KEY"
@@ -294,39 +293,6 @@ def _key_function(provider: Provider, model_name: str, identity: str):
     return key
 
 
-# The head of a row `ResponseCache.put` writes, up to the prompt's first
-# character, and the rest of the row after its `raw_text`.
-_PUT_HEAD = re.compile(r'\{"key_hash": "([0-9a-f]{64})", "prompt": "')
-_PUT_TAIL = re.compile(r', "timestamp": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?\}\Z')
-
-
-def _cached_answer(line: str) -> tuple[str, str]:
-    """The `key_hash` and `raw_text` of one cache row.
-
-    A row in the layout `put` writes is decoded in place: its two strings
-    by the JSON string scanner, every byte around them checked against
-    that layout. Any other row (an older layout with `config_digest`, a
-    hand-edited one) goes through json.loads. Raises KeyError, TypeError
-    or ValueError for a row that is no cache row, or whose key or answer
-    is not a string.
-    """
-    head = _PUT_HEAD.match(line)
-    if head is not None:
-        try:
-            _prompt, end = scanstring(line, head.end())
-            if line.startswith(', "raw_text": "', end):
-                raw_text, end = scanstring(line, end + 15)
-                if _PUT_TAIL.match(line, end):
-                    return head[1], raw_text
-        except ValueError:
-            pass
-    row = json.loads(line)
-    key_hash, raw_text = row["key_hash"], row["raw_text"]
-    if type(key_hash) is not str or type(raw_text) is not str:
-        raise ValueError("key_hash and raw_text must be strings")
-    return key_hash, raw_text
-
-
 class ResponseCache:
     """Append-only newline-delimited JSON store of raw responses.
 
@@ -365,7 +331,10 @@ class ResponseCache:
                 if not line.strip():
                     continue
                 try:
-                    key_hash, raw_text = _cached_answer(line)
+                    row = _json_line(line)
+                    key_hash, raw_text = row["key_hash"], row["raw_text"]
+                    if type(key_hash) is not str or type(raw_text) is not str:
+                        raise ValueError("key_hash and raw_text must be strings")
                     self._entries[key_hash] = raw_text
                 except (KeyError, TypeError, ValueError) as exc:
                     if idx < len(lines) - 1:

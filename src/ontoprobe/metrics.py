@@ -11,14 +11,13 @@ source's full ID universe are invented ones and get tallied separately.
 
 from __future__ import annotations
 
-import json
 import string
 from collections import Counter
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .errors import ParseError
-from .ontology import Concept, Ontology, OntologyKind, _checked_make, normalize_label
+from .ontology import Concept, Ontology, OntologyKind, _checked_make, _json_line, normalize_label
 
 
 class _ProbeRecordFields(NamedTuple):
@@ -215,20 +214,6 @@ def write_scored_records(records: list[ProbeRecord]) -> str:
     )
 
 
-_scan_json = json.decoder.JSONDecoder().scan_once
-
-
-def _scan_line(line: str):
-    """What json.loads(line) returns when `line` is one JSON value with no
-    whitespace around it, read by the C scanner json.loads itself calls but
-    without its per-call wrapping; None for any other line."""
-    try:
-        value, end = _scan_json(line, 0)
-    except (StopIteration, ValueError):
-        return None
-    return value if end == len(line) else None
-
-
 _SCORED_FIELDS = (
     ("gold_id", (str,), "a string"),
     ("source", (str,), "a string"),
@@ -237,16 +222,6 @@ _SCORED_FIELDS = (
     ("invented", (bool,), "true or false"),
     ("raw_text", (str,), "a string"),
 )
-
-
-# (keys, value types) of the rows `write_scored_records` writes.
-_SCORED_SHAPES = {
-    (
-        ("correct", "gold_id", "invented", "label", "predicted_id", "raw_text", "source"),
-        (bool, str, bool, str, predicted, str, str),
-    )
-    for predicted in (str, type(None))
-}
 
 
 def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
@@ -261,20 +236,16 @@ def read_scored_records(text: str, ontology: Ontology) -> list[ProbeRecord]:
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        row = _scan_line(line)
-        # One lookup checks the shape `write_scored_records` writes; any other
-        # row goes through the field-by-field check, which names its fault.
-        if type(row) is not dict or (tuple(row), tuple(map(type, row.values()))) not in _SCORED_SHAPES:
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError("not a JSON object")
-                row = {"raw_text": "", **row}
-                for name, types, expected in _SCORED_FIELDS:
-                    if type(row[name]) not in types:
-                        raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
+        try:
+            row = _json_line(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
+            row.setdefault("raw_text", "")
+            for name, types, expected in _SCORED_FIELDS:
+                if type(row[name]) not in types:
+                    raise ValueError(f"{name} must be {expected}, got {row[name]!r}")
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"scored run: line {line_no} is malformed: {exc}") from exc
         gold_id, source = row["gold_id"], row["source"]
         concept = ontology.id_index.get(gold_id)
         if concept is None:

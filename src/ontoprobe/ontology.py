@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import re
 from collections import Counter
 from collections.abc import Iterable
@@ -249,6 +250,22 @@ def _read_input(path: str | Path, what: str) -> tuple[str, str]:
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """What json.loads(line) returns. A line holding one JSON value with no
+    whitespace around it is read by the C scanner json.loads itself calls;
+    any other goes to json.loads, so an invalid one keeps json's message."""
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
 
 
 def _csv_rows(text: str, expected_header: list[str], what: str):

@@ -215,6 +215,13 @@ def _require_positive(**values: int) -> None:
             raise ConfigurationError(f"--{name.replace('_', '-')} must be positive")
 
 
+def _require_paths(**paths) -> None:
+    """Reject an empty path option (`Path("")` is the current directory), None being one not given."""
+    for name, path in paths.items():
+        if path is not None and not str(path):
+            raise ConfigurationError(f"--{name} must not be empty")
+
+
 def _statistic(test, *args, fields: tuple[str, ...], **kwargs) -> dict:
     """The named fields of `test(*args, **kwargs)`, or {"error": reason}
     when the series cannot carry the statistic (too short, constant)."""
@@ -250,6 +257,7 @@ def run_ingest(
     for ICD10 only: either given with another kind is refused, and a run of
     another kind records neither.
     """
+    _require_paths(out=out_dir)
     out_dir = Path(out_dir)
     kind_enum = OntologyKind(kind.upper())
     if universe_path is not None and kind_enum is not OntologyKind.WIKIDATA:
@@ -319,6 +327,7 @@ def run_probe(
     in the manifest; the CLI turns a nonzero failure count into exit
     code 4.
     """
+    _require_paths(out=out_dir, cache=cache_path)
     out_dir = Path(out_dir)
     _require_positive(sample=sample)
     if not isinstance(config, ModelConfig):
@@ -399,6 +408,7 @@ def run_analyze(
     series; a second file, when given, is compared against the first
     over shared concepts (same bucketing, per-bucket mean vs mean).
     """
+    _require_paths(out=out_dir)
     out_dir = Path(out_dir)
     if not occurrence_paths:
         raise ConfigurationError("analyze requires at least one occurrence file")
@@ -560,6 +570,7 @@ def run_invariance(
     (default 10) is for PI1 only: given without PI1 it is refused, and a
     run without PI1 records none.
     """
+    _require_paths(out=out_dir, cache=cache_path)
     out_dir = Path(out_dir)
     _require_positive(buckets=buckets, k_sample=k_sample, permutations=permutations)
     # Each strategy runs once, in Strategy order, whatever order and repeats it is named in.
@@ -675,6 +686,7 @@ def run_simulate(
     planted correlation between popularity and accuracy is recoverable
     end to end. Also writes a ready-to-use SYNTHETIC model config.
     """
+    _require_paths(out=out_dir)
     out_dir = Path(out_dir)
     _require_positive(size=size)
     if size > 9_999_999:
@@ -769,6 +781,7 @@ def run_report(
     bucket_table.csv has exactly n_buckets rows with the documented
     header; summary.csv is a two-column metric,value table.
     """
+    _require_paths(out=out_dir)
     out_dir = Path(out_dir)
     analysis, sha256 = _read_json(analysis_path, "analysis file", ParseError)
     inputs = {"analysis_path": _entry(analysis_path, sha256), "invariance_path": None}

@@ -629,6 +629,26 @@ class TestCollectorPause:
         assert gc.isenabled()
 
 
+class TestEmptyPathOptions:
+    @pytest.mark.parametrize(
+        "stage, flag",
+        [(stage, "--out") for stage in ("simulate", "ingest", "probe", "analyze", "invariance", "report")]
+        + [("probe", "--cache"), ("invariance", "--cache")],
+    )
+    def test_empty_path_exits_two_naming_the_flag_and_writes_nothing(
+        self, stage_argvs, tmp_path, monkeypatch, capsys, stage, flag
+    ):
+        """`Path("")` is the current directory, where the stage once wrote its outputs."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        # The last of a repeated option wins.
+        argv = [*stage_argvs[stage], "--out", str(tmp_path / "out"), flag, ""]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
+        assert list(tmp_path.rglob("*")) == [cwd]
+
+
 class TestInstalledEntrypoint:
     def test_help_runs(self):
         result = subprocess.run(
@@ -847,6 +867,30 @@ class TestImportPath:
             if isinstance(node, ast.ImportFrom) and node.module == "select":
                 found.append((module, scope, ast.unparse(node)))
         assert found == []
+
+    def test_one_json_line_decoder_in_src(self):
+        """Every NDJSON line, a cache row or a scored row, is decoded by
+        `ontology._json_line`, which alone reaches into the C scanner. Besides
+        it, only the JSON-file reader and the HTTP transport, each reading one
+        whole document, call json.loads."""
+        loads, scanners = set(), set()
+        for module, scope, node in self.src_nodes():
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.loads", "loads"):
+                loads.add((module, scope[:1]))
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr, ast.unparse(node)}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {getattr(node, "module", None), *(alias.name for alias in node.names)}
+            else:
+                continue
+            if names & {"scan_once", "scanstring", "json.decoder"}:
+                scanners.add(module)
+        assert (sorted(loads), sorted(scanners)) == (
+            [("gateway", ("_read_json",)), ("gateway", ("_requests_transport",)), ("ontology", ("_json_line",))],
+            ["ontology"],
+        )
 
     def test_src_imports_only_stdlib_and_declared_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

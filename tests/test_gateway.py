@@ -382,13 +382,15 @@ class TestResponseCache:
             '{"key_hash": "%s", "prompt": "p", "raw_text": "ignored", "timestamp": 1.5, "raw_text": "GO:0000007"}',
         ],
     )
-    def test_other_row_layouts_take_json_loads(self, tmp_path, monkeypatch, row):
+    def test_other_row_layouts_take_json_loads_only_with_edge_whitespace(self, tmp_path, monkeypatch, row):
+        # Any one JSON value is read by the scanner; a line with whitespace
+        # around its value goes to json.loads.
         key = "ab" * 32
         line = row % ((key, "cd" * 32) if "config_digest" in row else key)
         path = tmp_path / "cache.ndjson"
         path.write_text(line + "\n" + line.replace(key, "ef" * 32) + "\n", encoding="utf-8")
         cache, calls = self._counted_load(path, monkeypatch)
-        assert len(calls) == 2
+        assert len(calls) == (2 if line != line.strip() else 0)
         assert (len(cache), cache.get(key), cache.get("ef" * 32)) == (2, "GO:0000007", "GO:0000007")
 
     @pytest.mark.parametrize(

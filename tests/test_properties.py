@@ -1,8 +1,9 @@
 """Properties that hold for every input: ID extraction and canonicalisation,
 Wikidata correctness against IDs grouped by label, NDJSON and concept-table
 round trips and encodings, edit distance, bucketing, response-cache keys and
-lines, completion cues, `simulate`'s files against a record-built reference,
-and the numpy/scipy.special statistics against their scipy.stats references."""
+lines, the JSON-line decoder against json.loads, completion cues, `simulate`'s
+files against a record-built reference, the numpy/scipy.special statistics
+against their scipy.stats references, and hostile model answers end to end."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import json
 import random
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -58,11 +60,16 @@ from ontoprobe import (
     normalize_label,
     parse_icd10,
     parse_wikidata_sample,
+    per_bucket_accuracy,
     pi_value,
     read_concept_table,
     read_occurrences,
     read_scored_records,
     render,
+    run_analyze,
+    run_invariance,
+    run_probe,
+    run_report,
     run_simulate,
     score,
     spearman,
@@ -74,7 +81,7 @@ from ontoprobe import (
 )
 from ontoprobe import gateway as gateway_module
 from ontoprobe import metrics as metrics_module
-from ontoprobe.ontology import CANONICAL_HEADER, ID_PATTERNS, _read_input
+from ontoprobe.ontology import CANONICAL_HEADER, ID_PATTERNS, _json_line, _read_input
 from ontoprobe.prompts import _CUE
 from ontoprobe.runs import _load_occurrences
 from ontoprobe.stats import _average_ranks
@@ -521,6 +528,59 @@ def test_put_rows_load_as_json_loads_reads_them(rows, timestamp):
     assert {key: loaded.get(key) for key in expected} == expected
 
 
+# JSON values holding what the NDJSON readers meet: lone surrogates (dumped
+# raw, or escaped under ensure_ascii), the separators json leaves unescaped,
+# and the NaN and Infinity json.dumps writes for non-finite floats.
+JSON_TEXT = st.text(st.one_of(st.characters(), AWKWARD_CHARS, st.sampled_from("\ud800\udfff\ud83d")), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), JSON_TEXT),
+    lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(JSON_TEXT, children, max_size=3)),
+    max_leaves=6,
+)
+# JSON whitespace, whitespace JSON refuses, and a byte-order mark.
+LINE_EDGES = st.text(st.sampled_from(" \t\r\n\x0b\x0c\xa0\u2028\x85\ufeff"), min_size=1, max_size=3)
+
+
+@st.composite
+def json_lines(draw) -> str:
+    """One drawn value dumped compact, with spaces, with whitespace around it
+    or with trailing garbage."""
+    value, ensure_ascii = draw(JSON_VALUES), draw(st.booleans())
+    layout = draw(st.sampled_from(["compact", "spaces", "edges", "garbage"]))
+    if layout == "compact":
+        return json.dumps(value, ensure_ascii=ensure_ascii, separators=(",", ":"))
+    line = json.dumps(value, ensure_ascii=ensure_ascii, indent=draw(st.sampled_from([None, 0, 1])))
+    if layout == "edges":
+        return draw(st.one_of(st.just(""), LINE_EDGES)) + line + draw(LINE_EDGES)
+    if layout == "garbage":
+        return line + draw(st.text(st.one_of(AWKWARD_CHARS, st.sampled_from(']}",x0-eE.')), min_size=1, max_size=4))
+    return line
+
+
+def decoded(decode, line: str) -> tuple:
+    """("value", repr of what `decode(line)` returns), or the type and message of what it raises."""
+    try:
+        return "value", repr(decode(line))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@BOUNDED
+@given(line=json_lines())
+@example(line='{"a": NaN, "b": [Infinity, -Infinity]}')
+@example(line='"\\ud800 \\udfff \\ud83d\\udc4d \u2028\x85"')
+@example(line='"\ud800\u2028\x85"')
+@example(line="Infinity ")
+@example(line="\ufeff[1]")
+@example(line="[1]\u2028")
+@example(line='{"k": 1} x')
+@example(line="")
+def test_json_line_equals_json_loads(line):
+    """`_json_line` returns what json.loads does, and raises what it raises,
+    message included, for one JSON value however it is laid out."""
+    assert decoded(_json_line, line) == decoded(json.loads, line)
+
+
 @settings(max_examples=60, deadline=None)
 @given(prompts=st.lists(ENCODABLE_TEXT, min_size=2, max_size=5, unique=True), data=st.data())
 @example(prompts=["p\U0001f9ec", "q\u2028", "r"], data=None)
@@ -913,3 +973,109 @@ def test_simulate_equals_the_record_built_reference(size, seed, max_exponent, st
     records = read_occurrences(written["occurrences.csv"])
     assert len(ontology.concepts) == len(ontology.universe) == len(records) == size
     assert write_occurrences(records) == write_occurrences([tuple(r) for r in records]) == written["occurrences.csv"]
+
+
+# Answers of the kinds that once broke a stage after the model calls, each
+# found alone: U+2028 in the cache loader, a lone surrogate in `put`, a
+# 5,000-digit QID in `extract_id`, and a prompt two Wikidata QIDs share.
+HOSTILE_CHARS = st.sampled_from(["\ud800", "\udfff", "\u2028", "\u2029", "\x85", "\x00", "\r", "\ufeff", '"', "\\"])
+HOSTILE_TEXT = st.text(st.one_of(st.characters(), HOSTILE_CHARS, st.sampled_from("\U0001f9ec\U0010ffff\n")), max_size=6)
+# An answer names the gold ID of its prompt's concept, another ID of up to
+# 6,000 digits, or none.
+HOSTILE_IDS = st.one_of(
+    st.none(),
+    st.just("gold"),
+    st.builds(
+        lambda prefix, digits, n: prefix + (digits * n)[:n],
+        st.sampled_from(["GO:", "Q", "go_", "q "]),
+        st.sampled_from(["7", "1234567890", "0"]),
+        st.integers(min_value=1, max_value=6000),
+    ),
+)
+HOSTILE_ANSWERS = st.lists(st.tuples(HOSTILE_TEXT, HOSTILE_IDS, HOSTILE_TEXT), min_size=1, max_size=6)
+# 24 concepts of each kind, labelled "concept 0001", ...; QIDs 2j-1 and 2j
+# share label j.
+HOSTILE_CORPORA = {
+    OntologyKind.GO: Ontology(
+        OntologyKind.GO,
+        tuple(Concept(f"GO:{i:07d}", f"concept {i:04d}", OntologyKind.GO) for i in range(1, 25)),
+        frozenset(f"GO:{i:07d}" for i in range(1, 25)),
+    ),
+    OntologyKind.WIKIDATA: parse_wikidata_sample(
+        "qid,label,qrank\n" + "".join(f"Q{i},concept {(i + 1) // 2:04d},{i}\n" for i in range(1, 25))
+    ),
+}
+
+
+def stage_outputs(out: Path) -> dict[str, bytes]:
+    """Every file a stage wrote to `out` but its manifest, which is stamped with the time."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.name != "manifest.json"}
+
+
+# About 50 ms an example on 2 vCPUs.
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(HOSTILE_CORPORA)), answers=HOSTILE_ANSWERS)
+@example(
+    kind=OntologyKind.WIKIDATA,
+    answers=[
+        ("\ud800\u2028", "gold", "\u2029\x85\x00\r\ufeff\"\\\U0001f9ec"),
+        ("", "Q" + "7" * 6000, "\udfff"),
+        ("\n", None, ""),
+    ],
+)
+@example(kind=OntologyKind.GO, answers=[("", "gold", ""), ("\U0010ffff", "GO:" + "1234567890" * 600, "\x85")])
+@example(kind=OntologyKind.GO, answers=[("", None, "")])
+def test_hostile_answers_resume_to_the_bytes_of_the_fresh_run(kind, answers):
+    """A chat model giving any of the drawn answers, or a mix of them, leaves
+    a pipeline whose resumed stages write the bytes of the fresh ones: probe,
+    analyze, invariance and report, both NDJSON readers on the way. Each
+    resume is answered wholly from the cache. analyze may refuse only a
+    constant accuracy series."""
+    ontology = HOSTILE_CORPORA[kind]
+    gold = {concept.label: concept.id for concept in ontology.concepts}
+    asked: Counter = Counter()
+
+    def transport(url, payload, headers):
+        # An answer is a function of the prompt, its temperature and how often
+        # it was asked, so PI1's repeats may differ.
+        content = payload["messages"][0]["content"]
+        asked[content, payload["temperature"]] += 1
+        material = f"{content}\0{payload['temperature']}\0{asked[content, payload['temperature']]}"
+        prefix, named, suffix = answers[int(hashlib.sha256(material.encode("utf-8")).hexdigest(), 16) % len(answers)]
+        named = gold[re.search(r"concept \d{4}", content).group()] if named == "gold" else named or ""
+        return 200, {"choices": [{"message": {"content": prefix + named + suffix}}]}
+
+    config = ModelConfig(Provider.CHAT_HTTP, "m", endpoint="https://api.example.test", max_in_flight=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        concepts_path, occurrences_path = tmp / "concepts.csv", tmp / "occurrences.csv"
+        atomic_write_text(concepts_path, write_concept_table(ontology))
+        occurrences = [OccurrenceRecord(c.id, "corpus", 3 * i * i + 1) for i, c in enumerate(ontology.concepts)]
+        atomic_write_text(occurrences_path, write_occurrences(occurrences))
+
+        def fresh_then_resumed(run, *args, **kwargs):
+            """`run` into "<name>" and again into "<name>_resumed"; the second
+            asks the model nothing."""
+            name = run.__name__.removeprefix("run_")
+            run(*args, tmp / name, cache_path=tmp / f"{name}.ndjson", transport=transport, **kwargs)
+            calls = sum(asked.values())
+            resumed = run(*args, tmp / f"{name}_resumed", cache_path=tmp / f"{name}.ndjson", transport=transport, **kwargs)
+            assert sum(asked.values()) == calls
+            assert stage_outputs(tmp / name) == stage_outputs(tmp / f"{name}_resumed")
+            return resumed
+
+        resumed = fresh_then_resumed(run_probe, concepts_path, config)
+        assert resumed.counts["from_cache"] == resumed.counts["requested"] == len(ontology.concepts)
+        fresh_then_resumed(
+            run_invariance, concepts_path, config, occurrences_path, buckets=3, k_sample=2, m_repeats=2, permutations=20
+        )
+
+        scored = tmp / "probe" / "scored.ndjson"
+        try:
+            run_analyze(scored, concepts_path, [occurrences_path], tmp / "analysis", buckets=4, lag=1, permutations=20)
+        except DegenerateInputError:
+            records = read_scored_records(scored.read_text(encoding="utf-8"), ontology)
+            assert len({acc for _bucket, acc in per_bucket_accuracy(bucketize(occurrences, 4), records)}) == 1
+            return
+        run_report(tmp / "analysis" / "analysis.json", tmp / "report", tmp / "invariance" / "invariance_report.json")
+        assert sorted(stage_outputs(tmp / "report")) == ["bucket_table.csv", "summary.csv"]

@@ -1,12 +1,14 @@
-"""README.md's quickstart runs as written."""
+"""README.md's quickstart runs as written, and it names every option of
+every stage and no option a stage lacks."""
 
 from __future__ import annotations
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from ontoprobe.cli import main
+from ontoprobe.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +35,46 @@ def test_quickstart_runs_as_written(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
     assert sorted(name for name in files if not (tmp_path / name).is_file()) == []
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """The `--flag`s of each subcommand's parser, `--help` aside."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in parser._actions for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+        for name, parser in subparsers.choices.items()
+    }
+
+
+def named_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for each `--flag` on an `ontoprobe` command line of
+    any fenced block and on each stage's line of the Stage options section."""
+    text = README.read_text(encoding="utf-8")
+    named = []
+    for block in text.split("```")[1::2]:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ontoprobe "):
+                argv = shlex.split(line)
+                named += [(argv[1], arg) for arg in argv[2:] if arg.startswith("--")]
+    section = text.partition("\n## Stage options\n")[2].split("\n## ", 1)[0]
+    for stage, line in re.findall(r"^- `(\w+)`: (.*)$", section, flags=re.M):
+        named += [(stage, flag) for flag in re.findall(r"`(--[\w-]+)`", line)]
+    return named
+
+
+def test_every_flag_of_every_stage_is_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    missing = [
+        (stage, flag)
+        for stage, flags in parser_flags().items()
+        for flag in sorted(flags)
+        if not re.search(rf"(?<![\w-]){flag}(?![\w-])", text)
+    ]
+    assert missing == []
+
+
+def test_every_flag_the_readme_gives_a_stage_exists():
+    flags = parser_flags()
+    named = named_flags()
+    assert {stage for stage, _flag in named} == set(flags)
+    assert [(stage, flag) for stage, flag in named if flag not in flags[stage]] == []
