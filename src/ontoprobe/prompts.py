@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 import re
 from enum import Enum
-from importlib import resources
 from typing import NamedTuple
 
-from .errors import ConfigurationError, ParseError
-from .ontology import Concept, OntologyKind, _checked_make, _csv_rows
+from .errors import ConfigurationError
+from .ontology import Concept, OntologyKind, _checked_make
 
 PLACEHOLDER = "{l}"
 _CUE = re.compile(r"(?:GO|UBERON):\s*\Z", re.IGNORECASE)
@@ -82,15 +81,24 @@ def render(template: PromptTemplate, concept: Concept) -> RenderedPrompt:
     return RenderedPrompt(template.key, concept.id, template.text.replace(PLACEHOLDER, concept.label))
 
 
-_CHAT_EN = {
-    OntologyKind.GO: 'Provide the GO ID for the label "{l}". In the answer write only the corresponding GO ID.',
-    OntologyKind.UBERON: 'Provide the UBERON ID for the label "{l}". In the answer write only the corresponding UBERON ID.',
-    OntologyKind.ICD10: 'Provide the ICD-10 ID for the label "{l}". In the answer write only the corresponding ICD-10 ID.',
-    OntologyKind.WIKIDATA: 'Provide the Wikidata ID for the label "{l}". In the answer write only the corresponding Wikidata ID.',
+# One chat sentence per language; {id} is where the ID name goes.
+_CHAT = {
+    Language.EN: 'Provide the {id} ID for the label "{l}". In the answer write only the corresponding {id} ID.',
+    Language.IT: 'Fornisci l\'ID {id} per l\'etichetta "{l}". Nella risposta scrivi solo l\'ID {id} corrispondente.',
+    Language.DE: 'Gib die {id}-ID für die Bezeichnung "{l}" an. Schreibe in der Antwort nur die entsprechende {id}-ID.',
+    Language.FR: 'Fournis l\'ID {id} pour le libellé "{l}". Dans la réponse, écris uniquement l\'ID {id} correspondant.',
+    Language.ES: 'Proporciona el ID {id} para la etiqueta "{l}". En la respuesta escribe solo el ID {id} correspondiente.',
+}
+_ID_NAME = {
+    OntologyKind.GO: "GO",
+    OntologyKind.UBERON: "UBERON",
+    OntologyKind.ICD10: "ICD-10",
+    OntologyKind.WIKIDATA: "Wikidata",
 }
 
 # Completion prompts end exactly where the ID continues; GO and UBERON
-# carry the prefix cue so the model only has to emit digits.
+# carry the prefix cue so the model only has to emit digits. They exist in
+# English only.
 _COMPLETION_EN = {
     OntologyKind.GO: 'In the Gene Ontology, the GO ID of the label "{l}" is GO:',
     OntologyKind.UBERON: 'In the Uberon Ontology, the Uberon ID of the label "{l}" is UBERON:',
@@ -98,46 +106,13 @@ _COMPLETION_EN = {
     OntologyKind.WIKIDATA: 'In the Wikidata, the Wikidata ID of the label "{l}" is',
 }
 
-TRANSLATION_HEADER = ["ontology", "style", "language", "text"]
-
-
-def load_translation_table(text: str) -> list[PromptTemplate]:
-    """Parse a translation CSV (`ontology,style,language,text`)."""
-    templates = []
-    try:
-        for row_no, row in _csv_rows(text, TRANSLATION_HEADER, "translation table"):
-            try:
-                kind = OntologyKind(row[0].strip())
-                style = PromptStyle(row[1].strip())
-                language = Language(row[2].strip())
-                templates.append(PromptTemplate(kind, style, language, row[3]))
-            except ValueError as exc:
-                raise ConfigurationError(f"translation table: row {row_no}: {exc}") from exc
-    except ParseError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    return templates
-
-
-@functools.cache
-def _translations() -> dict[tuple[OntologyKind, PromptStyle, Language], PromptTemplate]:
-    """The shipped translations, parsed once: no repeated key, no EN row."""
-    templates: dict[tuple, PromptTemplate] = {}
-    data = resources.files("ontoprobe").joinpath("data/translations.csv").read_text(encoding="utf-8")
-    for t in load_translation_table(data):
-        if t.key in templates or t.language is Language.EN:
-            raise ConfigurationError(f"translation table duplicates template {t.key}")
-        templates[t.key] = t
-    return templates
-
 
 @functools.cache
 def template_for(kind: OntologyKind, style: PromptStyle, language: Language) -> PromptTemplate:
     """Look up one shipped template, built on its first look-up; configuration
     error when absent."""
-    english = {PromptStyle.CHAT: _CHAT_EN, PromptStyle.COMPLETION: _COMPLETION_EN}[style]
-    if language is Language.EN and kind in english:
-        return PromptTemplate(kind, style, language, english[kind])
-    template = _translations().get((kind, style, language))
-    if template is None:
-        raise ConfigurationError(f"no template for {kind.value}/{style.value}/{language.value}")
-    return template
+    if style is PromptStyle.CHAT:
+        return PromptTemplate(kind, style, language, _CHAT[language].replace("{id}", _ID_NAME[kind]))
+    if language is Language.EN:
+        return PromptTemplate(kind, style, language, _COMPLETION_EN[kind])
+    raise ConfigurationError(f"no template for {kind.value}/{style.value}/{language.value}")

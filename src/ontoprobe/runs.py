@@ -216,10 +216,14 @@ def _require_positive(**values: int) -> None:
 
 
 def _require_paths(**paths) -> None:
-    """Reject an empty path option (`Path("")` is the current directory), None being one not given."""
+    """Reject an empty path option (`Path("")` is the current directory), None
+    being one not given, and a --cache that names a directory."""
     for name, path in paths.items():
         if path is not None and not str(path):
             raise ConfigurationError(f"--{name} must not be empty")
+    cache = paths.get("cache")
+    if cache is not None and Path(cache).is_dir():
+        raise ConfigurationError(f"--cache must name a file, not the directory {cache}")
 
 
 def _statistic(test, *args, fields: tuple[str, ...], **kwargs) -> dict:

@@ -455,6 +455,11 @@ class TestUsageErrors:
         assert (code, err) == (2, f"error: {message}\n")
         assert not probe.exists()
 
+    def test_model_config_of_unknown_provider_exits_two(self, tmp_path, capsys):
+        code, err, probe = self._probe_with_changed_config(tmp_path, capsys, {"provider": "GPT4"})
+        assert (code, err) == (2, "error: invalid model config: 'GPT4' is not a valid Provider\n")
+        assert not probe.exists()
+
     @staticmethod
     def _probe_with_changed_config(tmp_path, capsys, changes):
         """(exit code, stderr, out dir) of `probe` under `simulate`'s model config with `changes`."""
@@ -648,6 +653,19 @@ class TestEmptyPathOptions:
         assert capsys.readouterr().err == f"error: {flag} must not be empty\n"
         assert list(tmp_path.rglob("*")) == [cwd]
 
+    @pytest.mark.parametrize("stage", ["probe", "invariance"])
+    def test_cache_naming_a_directory_exits_two_naming_the_flag_and_the_path(
+        self, stage_argvs, tmp_path, capsys, stage
+    ):
+        """The cache once opened the directory itself and failed with a bare
+        `[Errno 21] Is a directory`, naming neither the option nor the path."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        argv = [*stage_argvs[stage], "--out", str(tmp_path / "out"), "--cache", str(cache)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: --cache must name a file, not the directory {cache}\n"
+        assert list(tmp_path.rglob("*")) == [cache]
+
 
 class TestInstalledEntrypoint:
     def test_help_runs(self):
@@ -832,8 +850,8 @@ class TestImportPath:
         for all of them, and the manifest records the sha256 it returns: the
         digest of the bytes the stage parsed. Besides it, only
         `runs.file_digest`, a public helper that nothing in src/ calls, the
-        atomic writer, the response cache (whose byte-level loader keeps its
-        own torn-line rules) and the package-data loader open or read a file."""
+        atomic writer and the response cache (whose byte-level loader keeps its
+        own torn-line rules) open or read a file."""
         callers, digesters = set(), set()
         for module, scope, node in self.src_nodes():
             if isinstance(node, ast.Call):
@@ -846,7 +864,6 @@ class TestImportPath:
         assert sorted(callers) == [
             ("gateway", ("ResponseCache",)),
             ("ontology", ("_read_input",)),
-            ("prompts", ("_translations",)),
             ("runs", ("atomic_write_text",)),
             ("runs", ("file_digest",)),
         ]

@@ -149,6 +149,13 @@ class TestRunPi1:
         records = run_pi1(ModelGateway(config, transport=transport), ontology.concepts, m=2, style=PromptStyle.COMPLETION)
         assert [r.answers for r in records] == [(c.id, c.id) for c in ontology.concepts]
 
+    def test_no_concepts_make_no_call(self):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"gateway.{name} was touched")
+
+        assert run_pi1(Untouchable(), []) == []
+
     def test_m_validation(self):
         ontology = make_ontology(2)
         gateway = ModelGateway(make_config(), profile=make_profile(ontology))

@@ -9,7 +9,6 @@ import pytest
 
 from ontoprobe import (
     Concept,
-    ConfigurationError,
     Ontology,
     OntologyKind,
     ParseError,
@@ -22,7 +21,6 @@ from ontoprobe import (
     read_occurrences,
     write_concept_table,
 )
-from ontoprobe.prompts import load_translation_table
 
 
 class TestParseObo:
@@ -40,6 +38,11 @@ class TestParseObo:
     def test_obsolete_excluded_but_in_universe(self, go_ontology):
         assert "GO:0000005" in go_ontology.universe
         assert "GO:0000005" not in go_ontology.id_index
+
+    def test_other_native_prefix_is_refused(self, go_obo_text):
+        with pytest.raises(ValueError) as excinfo:
+            parse_obo(go_obo_text, "CL")
+        assert str(excinfo.value) == "native_prefix must be GO or UBERON, got 'CL'"
 
     def test_uberon_fixture_counts(self, uberon_ontology):
         assert len(uberon_ontology.concepts) == 6
@@ -426,34 +429,31 @@ class TestCanonicalIcd10:
             assert canonical_icd10(once) == once
 
 
-# The three readers built on the shared header-checked CSV reader:
-# (parse, header, one valid row, error type raised).
+# The two readers built on the shared header-checked CSV reader:
+# (parse, header, one valid row). Each raises ParseError.
 CSV_CALLERS = {
-    "concept table": (read_concept_table, "source,id,label", "GO,GO:0000001,kidney development", ParseError),
-    "occurrence file": (read_occurrences, "source,id,occurrences", "web,GO:0000001,12", ParseError),
-    "translation table": (
-        load_translation_table, "ontology,style,language,text", "GO,CHAT,IT,Dammi l'ID GO di {l}", ConfigurationError
-    ),
+    "concept table": (read_concept_table, "source,id,label", "GO,GO:0000001,kidney development"),
+    "occurrence file": (read_occurrences, "source,id,occurrences", "web,GO:0000001,12"),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(CSV_CALLERS))
 class TestSharedCsvReader:
     def _raises(self, caller, text, match):
-        parse, _header, _row, error = CSV_CALLERS[caller]
-        with pytest.raises(error, match=match) as exc:
+        parse, _header, _row = CSV_CALLERS[caller]
+        with pytest.raises(ParseError, match=match) as exc:
             parse(text)
-        assert exc.type is error
+        assert exc.type is ParseError
 
     def test_missing_header(self, caller):
         self._raises(caller, "", f"^{caller}: missing header row")
 
     def test_wrong_header(self, caller):
-        _parse, header, row, _error = CSV_CALLERS[caller]
+        _parse, header, row = CSV_CALLERS[caller]
         self._raises(caller, f"{header},extra\n{row}\n", f"^{caller}: expected header {header}, got")
 
     def test_wrong_row_width_names_the_row(self, caller):
-        _parse, header, row, _error = CSV_CALLERS[caller]
+        _parse, header, row = CSV_CALLERS[caller]
         short = row.rsplit(",", 1)[0]
         width = header.count(",") + 1
         self._raises(
@@ -463,17 +463,17 @@ class TestSharedCsvReader:
     def test_unreadable_row_names_its_line(self, caller):
         # A field over the csv module's size limit (131,072 characters) fails in the
         # csv module itself, which raises csv.Error.
-        _parse, header, row, _error = CSV_CALLERS[caller]
+        _parse, header, row = CSV_CALLERS[caller]
         huge = row.rsplit(",", 1)[0] + "," + "x" * 200_000
         self._raises(caller, f"{header}\n{row}\n{huge}\n", f"^{caller}: line 3: field larger than field limit")
 
     def test_blank_rows_skipped(self, caller):
-        parse, header, row, _error = CSV_CALLERS[caller]
+        parse, header, row = CSV_CALLERS[caller]
         parsed = parse(f"{header}\n\n   \n{row}\n\n")
         items = parsed.concepts if caller == "concept table" else parsed
         assert len(items) == 1
 
     def test_row_level_error_names_the_row(self, caller):
-        parse, header, row, _error = CSV_CALLERS[caller]
+        parse, header, row = CSV_CALLERS[caller]
         bad = ",".join(["BOGUS", *row.split(",")[1:]]) if caller != "occurrence file" else "web,GO:0000001,many"
         self._raises(caller, f"{header}\n\n{bad}\n", f"^{caller}: row 3")

@@ -127,6 +127,19 @@ class TestIngest:
         assert manifest.counts["concepts"] == 5
         assert manifest.counts["universe"] == 6
 
+    def test_blank_universe_lines_are_skipped(self, tmp_path, wikidata_csv_text):
+        source = tmp_path / "sample.csv"
+        source.write_text(wikidata_csv_text, encoding="utf-8")
+        tables = []
+        plain, blank = "Q1\nQ2\nQ42\nQ155\nQ308\nQ99999\n", "Q1\nQ2\n\nQ42\nQ155\n  \nQ308\nQ99999\n"
+        for name, text in (("plain", plain), ("blank", blank)):
+            universe = tmp_path / f"{name}.txt"
+            universe.write_text(text, encoding="utf-8")
+            manifest = run_ingest(source, "wikidata", tmp_path / name, universe_path=universe)
+            assert manifest.counts == {"concepts": 5, "universe": 6}
+            tables.append((tmp_path / name / "concepts.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_universe_enters_run_id(self, tmp_path, wikidata_csv_text):
         source = tmp_path / "sample.csv"
         source.write_text(wikidata_csv_text, encoding="utf-8")
@@ -1047,6 +1060,13 @@ class TestInvarianceRun:
                 strategies=("PI9",),
                 profile=profile,
             )
+
+    def test_no_strategy_rejected_before_any_call(self, tmp_path):
+        _, concepts_path, occurrences_path, profile = self._setup(tmp_path, n=6)
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_invariance(concepts_path, make_config(), occurrences_path, tmp_path / "inv", strategies=(), profile=profile)
+        assert str(excinfo.value) == "no invariance strategies selected"
+        assert not (tmp_path / "inv").exists()
 
     @pytest.mark.parametrize("option", ["permutations", "buckets", "k_sample"])
     def test_zero_permutations_rejected_before_any_call(self, tmp_path, option):
