@@ -95,6 +95,23 @@ class TestBuiltinTemplates:
                 template = template_for(kind, PromptStyle.CHAT, language)
                 assert template.text.count("{l}") == 1
 
+    @pytest.mark.parametrize("language", list(Language), ids=lambda language: language.value)
+    def test_chat_text_names_the_id_twice(self, language):
+        # Each language states its chat sentence once; the ID name fills both
+        # of its slots, in the asking clause and in the answer instruction.
+        id_names = {
+            OntologyKind.GO: "GO",
+            OntologyKind.UBERON: "UBERON",
+            OntologyKind.ICD10: "ICD-10",
+            OntologyKind.WIKIDATA: "Wikidata",
+        }
+        texts = {kind: template_for(kind, PromptStyle.CHAT, language).text for kind in OntologyKind}
+        for kind, text in texts.items():
+            assert "{id}" not in text, kind
+            assert text.count(id_names[kind]) == 2, (kind, text)
+        # Apart from the ID name, the four kinds share one sentence.
+        assert len({texts[kind].replace(id_names[kind], "ID-NAME") for kind in OntologyKind}) == 1
+
     def test_completion_templates_end_at_prefix_cue(self):
         go = template_for(OntologyKind.GO, PromptStyle.COMPLETION, Language.EN)
         uberon = template_for(OntologyKind.UBERON, PromptStyle.COMPLETION, Language.EN)
