@@ -791,14 +791,15 @@ class ModelGateway:
         )
 
     def _parse_body(self, body: dict | None) -> str:
+        if body is None:
+            raise ConfigurationError("unexpected response shape from endpoint: the body is not JSON")
         try:
-            assert body is not None
             choice = body["choices"][0]
             if self.config.provider is Provider.CHAT_HTTP:
                 content = choice["message"]["content"]
             else:
                 content = choice["text"]
-        except (AssertionError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ConfigurationError(f"unexpected response shape from endpoint: {exc!r}") from exc
         # UTF-8 cannot hold a lone surrogate ("\ud800" in the body): U+FFFD stands in.
         return _LONE_SURROGATE.sub("\ufffd", content) if isinstance(content, str) else ""

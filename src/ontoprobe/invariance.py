@@ -20,7 +20,7 @@ from .extraction import extract_id
 from .gateway import ModelGateway
 from .metrics import is_correct
 from .ontology import Concept, Ontology
-from .popularity import BucketAssignment
+from .popularity import BucketAssignment, by_bucket
 from .prompts import Language, PromptStyle, render, template_for
 
 DEFAULT_TEMPERATURES = tuple(round(0.1 * i, 1) for i in range(11))
@@ -76,16 +76,12 @@ def sample_concepts(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    members: dict[int, list[Concept]] = {}
-    for concept_id, bucket in assignment.membership.items():
-        concept = ontology.id_index.get(concept_id)
-        if concept is not None:
-            members.setdefault(bucket, []).append(concept)
+    bucketed = sorted((c for c in ontology.concepts if c.id in assignment.membership), key=lambda c: c.id)
     rng = random.Random(seed)
     sampled: dict[int, list[Concept]] = {}
-    for bucket in sorted(members):
-        pool = sorted(members[bucket], key=lambda c: c.id)
-        sampled[bucket] = pool if len(pool) <= k else rng.sample(pool, k)
+    for bucket, pool in enumerate(by_bucket(assignment, bucketed, lambda c: c.id, "concept"), 1):
+        if pool:
+            sampled[bucket] = pool if len(pool) <= k else rng.sample(pool, k)
     return sampled
 
 
@@ -157,21 +153,15 @@ def aggregate_avpi(
     included in the denominator. Buckets with no sampled concepts are
     omitted.
     """
-    groups: dict[tuple[Strategy, int], list[InvarianceRecord]] = {}
-    for record in records:
-        bucket = assignment.membership.get(record.concept.id)
-        if bucket is None:
-            raise ValueError(f"concept {record.concept.id} has no bucket")
-        groups.setdefault((record.strategy, bucket), []).append(record)
+    groups = by_bucket(assignment, records, lambda r: r.concept.id, "concept")
     out = []
-    for (strategy, bucket) in sorted(groups, key=lambda key: (key[0].value, key[1])):
-        group = groups[(strategy, bucket)]
-        avpi = sum(r.pi for r in group) / len(group)
-        n_answers = sum(r.m for r in group)
-        n_correct = sum(
-            sum(1 for a in r.answers if is_correct(ontology, r.concept, a)) for r in group
-        )
-        out.append(BucketInvariance(bucket, strategy, avpi, n_correct / n_answers, len(group)))
+    for strategy in Strategy:  # in value order
+        for bucket, in_bucket in enumerate(groups, 1):
+            group = [r for r in in_bucket if r.strategy == strategy]
+            if group:
+                avpi = sum(r.pi for r in group) / len(group)
+                n_correct = sum(is_correct(ontology, r.concept, a) for r in group for a in r.answers)
+                out.append(BucketInvariance(bucket, strategy, avpi, n_correct / sum(r.m for r in group), len(group)))
     return out
 
 

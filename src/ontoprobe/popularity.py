@@ -10,7 +10,7 @@ popular concepts.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -121,17 +121,23 @@ def bucketize(occurrences: list[OccurrenceRecord], n_buckets: int = 50) -> Bucke
     return BucketAssignment(n_buckets, boundaries, membership, tuple(occupancy))
 
 
+def by_bucket(assignment: BucketAssignment, items: Iterable, concept_id: Callable, what: str) -> list[list]:
+    """`items` grouped by the bucket of `concept_id(item)`: one list per
+    bucket, bucket 1 first, each in input order. An item whose concept has
+    no bucket raises ValueError naming `what`."""
+    groups = [[] for _ in range(assignment.n_buckets)]
+    for item in items:
+        bucket = assignment.membership.get(concept_id(item))
+        if bucket is None:
+            raise ValueError(f"{what} {concept_id(item)} has no bucket")
+        groups[bucket - 1].append(item)
+    return groups
+
+
 def bucket_mean_counts(assignment: BucketAssignment, occurrences: list[OccurrenceRecord]) -> list[float | None]:
     """Mean occurrence count per bucket, None for empty buckets."""
-    sums = [0] * assignment.n_buckets
-    sizes = [0] * assignment.n_buckets
-    for r in occurrences:
-        bucket = assignment.membership.get(r.concept_id)
-        if bucket is None:
-            raise ValueError(f"occurrence record {r.concept_id} has no bucket")
-        sums[bucket - 1] += r.count
-        sizes[bucket - 1] += 1
-    return [s / c if c else None for s, c in zip(sums, sizes)]
+    groups = by_bucket(assignment, occurrences, lambda r: r.concept_id, "occurrence record")
+    return [sum(r.count for r in group) / len(group) if group else None for group in groups]
 
 
 def per_bucket_accuracy(assignment: BucketAssignment, records: list[ProbeRecord]) -> list[tuple[int, float | None]]:
@@ -142,17 +148,9 @@ def per_bucket_accuracy(assignment: BucketAssignment, records: list[ProbeRecord]
         shown = ", ".join(offenders[:5])
         more = f" (+{len(offenders) - 5} more)" if len(offenders) > 5 else ""
         raise ValueError(f"{len(offenders)} scored concepts have no bucket: {shown}{more}")
-    correct = [0] * assignment.n_buckets
-    totals = [0] * assignment.n_buckets
-    for r in records:
-        bucket = assignment.membership[r.concept.id]
-        totals[bucket - 1] += 1
-        if r.correct:
-            correct[bucket - 1] += 1
-    return [
-        (i + 1, correct[i] / totals[i] if totals[i] else None)
-        for i in range(assignment.n_buckets)
-    ]
+    groups = by_bucket(assignment, records, lambda r: r.concept.id, "scored concept")
+    accuracies = [sum(r.correct for r in group) / len(group) if group else None for group in groups]
+    return list(enumerate(accuracies, 1))
 
 
 def bias_ratio(assignment: BucketAssignment, repeated: list[tuple[str, int]], k: int = 500) -> BiasRatioReport:
@@ -167,21 +165,12 @@ def bias_ratio(assignment: BucketAssignment, repeated: list[tuple[str, int]], k:
         raise ValueError("k must be positive")
     if not repeated:
         raise ValueError("repeated-ID list is empty")
-    top = repeated[:k]
+    top = [concept_id for concept_id, _freq in repeated[:k]]
+    bucketed = [concept_id for concept_id in top if concept_id in assignment.membership]
+    groups = by_bucket(assignment, bucketed, lambda concept_id: concept_id, "repeated ID")
     n_total = len(assignment.membership)
-    in_bucket = [0] * assignment.n_buckets
-    unassigned = 0
-    for concept_id, _freq in top:
-        bucket = assignment.membership.get(concept_id)
-        if bucket is None:
-            unassigned += 1
-        else:
-            in_bucket[bucket - 1] += 1
-    per_bucket = []
-    for i in range(assignment.n_buckets):
-        size = assignment.occupancy[i]
-        ratio = None
-        if size > 0:
-            ratio = in_bucket[i] / ((size / n_total) * k)
-        per_bucket.append(BucketBias(i + 1, in_bucket[i], size, ratio))
-    return BiasRatioReport(k, n_total, unassigned, tuple(per_bucket))
+    per_bucket = tuple(
+        BucketBias(bucket, len(ids), size, len(ids) / ((size / n_total) * k) if size > 0 else None)
+        for bucket, (ids, size) in enumerate(zip(groups, assignment.occupancy), 1)
+    )
+    return BiasRatioReport(k, n_total, len(top) - len(bucketed), per_bucket)

@@ -21,7 +21,6 @@ import math
 import os
 import random
 import time
-from collections import Counter
 from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -68,6 +67,7 @@ from .popularity import (
     OccurrenceRecord,
     bias_ratio,
     bucket_mean_counts,
+    by_bucket,
     bucketize,
     per_bucket_accuracy,
     read_occurrences,
@@ -215,15 +215,27 @@ def _require_positive(**values: int) -> None:
             raise ConfigurationError(f"--{name.replace('_', '-')} must be positive")
 
 
-def _require_paths(**paths) -> None:
-    """Reject an empty path option (`Path("")` is the current directory), None
-    being one not given, and a --cache that names a directory."""
+def _require_paths(command: str, **paths) -> None:
+    """Before `command` does any work, reject an empty path option (`Path("")`
+    is the current directory), None being one not given; a --cache naming a
+    directory; and an --out naming a file or holding another command's run."""
     for name, path in paths.items():
         if path is not None and not str(path):
             raise ConfigurationError(f"--{name} must not be empty")
-    cache = paths.get("cache")
+    cache, out = paths.get("cache"), paths["out"]
     if cache is not None and Path(cache).is_dir():
         raise ConfigurationError(f"--cache must name a file, not the directory {cache}")
+    if Path(out).exists() and not Path(out).is_dir():
+        raise ConfigurationError(f"--out must name a directory, not the file {out}")
+    if (Path(out) / "manifest.json").exists():
+        try:
+            other = _read_json(Path(out) / "manifest.json", "manifest")[0].get("command")
+        except (ConfigurationError, ParseError) as exc:
+            raise ConfigurationError(f"--out {out} holds a manifest.json that cannot be read: {exc}") from exc
+        if other != command:
+            raise ConfigurationError(
+                f"--out {out} holds a run of another command ({other}); give {command} its own directory"
+            )
 
 
 def _statistic(test, *args, fields: tuple[str, ...], **kwargs) -> dict:
@@ -261,7 +273,7 @@ def run_ingest(
     for ICD10 only: either given with another kind is refused, and a run of
     another kind records neither.
     """
-    _require_paths(out=out_dir)
+    _require_paths("ingest", out=out_dir)
     out_dir = Path(out_dir)
     kind_enum = OntologyKind(kind.upper())
     if universe_path is not None and kind_enum is not OntologyKind.WIKIDATA:
@@ -331,7 +343,7 @@ def run_probe(
     in the manifest; the CLI turns a nonzero failure count into exit
     code 4.
     """
-    _require_paths(out=out_dir, cache=cache_path)
+    _require_paths("probe", out=out_dir, cache=cache_path)
     out_dir = Path(out_dir)
     _require_positive(sample=sample)
     if not isinstance(config, ModelConfig):
@@ -412,7 +424,7 @@ def run_analyze(
     series; a second file, when given, is compared against the first
     over shared concepts (same bucketing, per-bucket mean vs mean).
     """
-    _require_paths(out=out_dir)
+    _require_paths("analyze", out=out_dir)
     out_dir = Path(out_dir)
     if not occurrence_paths:
         raise ConfigurationError("analyze requires at least one occurrence file")
@@ -451,20 +463,18 @@ def run_analyze(
         # One similarity pass over the wrong records; buckets and the overall
         # figures aggregate the same per-record values in record order.
         pairs = _error_pairs(ontology, records)
-        pairs_by_bucket: dict[int, list] = {}
-        for pair in pairs:
-            pairs_by_bucket.setdefault(assignment.membership[pair[0].concept.id], []).append(pair)
-        n_scored = Counter(assignment.membership[r.concept.id] for r in records)
+        scored_groups = by_bucket(assignment, records, lambda r: r.concept.id, "scored concept")
+        pair_groups = by_bucket(assignment, pairs, lambda pair: pair[0].concept.id, "scored concept")
         per_bucket = [
             {
                 "bucket": bucket,
                 "occupancy": assignment.occupancy[bucket - 1],
                 "mean_occurrence": mean,
-                "n_scored": n_scored[bucket],
+                "n_scored": len(scored),
                 "accuracy": acc,
-                **_mean_similarity(pairs_by_bucket.get(bucket, []))._asdict(),
+                **_mean_similarity(bucket_pairs)._asdict(),
             }
-            for (bucket, acc), mean in zip(acc_rows, means)
+            for (bucket, acc), mean, scored, bucket_pairs in zip(acc_rows, means, scored_groups, pair_groups)
         ]
         repeated = repeated_id_counts(records)
         bias = bias_ratio(assignment, repeated, top_k) if repeated else None
@@ -574,7 +584,7 @@ def run_invariance(
     (default 10) is for PI1 only: given without PI1 it is refused, and a
     run without PI1 records none.
     """
-    _require_paths(out=out_dir, cache=cache_path)
+    _require_paths("invariance", out=out_dir, cache=cache_path)
     out_dir = Path(out_dir)
     _require_positive(buckets=buckets, k_sample=k_sample, permutations=permutations)
     # Each strategy runs once, in Strategy order, whatever order and repeats it is named in.
@@ -690,7 +700,7 @@ def run_simulate(
     planted correlation between popularity and accuracy is recoverable
     end to end. Also writes a ready-to-use SYNTHETIC model config.
     """
-    _require_paths(out=out_dir)
+    _require_paths("simulate", out=out_dir)
     out_dir = Path(out_dir)
     _require_positive(size=size)
     if size > 9_999_999:
@@ -785,7 +795,7 @@ def run_report(
     bucket_table.csv has exactly n_buckets rows with the documented
     header; summary.csv is a two-column metric,value table.
     """
-    _require_paths(out=out_dir)
+    _require_paths("report", out=out_dir)
     out_dir = Path(out_dir)
     analysis, sha256 = _read_json(analysis_path, "analysis file", ParseError)
     inputs = {"analysis_path": _entry(analysis_path, sha256), "invariance_path": None}

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import live_children, make_ontology
-from ontoprobe import cli
+from ontoprobe import cli, runs
 from ontoprobe.cli import build_parser, main
 from test_runs import write_corpus
 
@@ -324,7 +324,9 @@ class TestUsageErrors:
     def test_input_not_utf8_exits_two_naming_it(self, tmp_path, capsys, wikidata_csv_text, command, bad):
         assert run_cli("simulate", "--size", "40", "--seed", "3", "--out", str(tmp_path)) == 0
         config = ("--model-config", str(tmp_path / "model_config.json"))
-        assert run_cli("probe", "--ontology", str(tmp_path / "concepts.csv"), *config, "--out", str(tmp_path)) == 0
+        probe = tmp_path / "probe"
+        assert run_cli("probe", "--ontology", str(tmp_path / "concepts.csv"), *config, "--out", str(probe)) == 0
+        (tmp_path / "scored.ndjson").write_bytes((probe / "scored.ndjson").read_bytes())
         (tmp_path / "second.csv").write_bytes((tmp_path / "occurrences.csv").read_bytes())
         (tmp_path / "source.csv").write_text(wikidata_csv_text, encoding="utf-8")
         (tmp_path / "universe.txt").write_text("Q1\nQ2\nQ42\nQ155\nQ308\n", encoding="utf-8")
@@ -665,6 +667,91 @@ class TestEmptyPathOptions:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err == f"error: --cache must name a file, not the directory {cache}\n"
         assert list(tmp_path.rglob("*")) == [cache]
+
+
+STAGES = ("simulate", "ingest", "probe", "analyze", "invariance", "report")
+
+
+@pytest.fixture
+def reads(monkeypatch) -> list[Path]:
+    """The files a stage reads (every input goes through `Path.read_bytes`);
+    a stage that starts its statistics worker fails."""
+    seen = []
+    read_bytes = Path.read_bytes
+
+    def recording(self):
+        seen.append(self)
+        return read_bytes(self)
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("the statistics worker started")
+
+    monkeypatch.setattr(Path, "read_bytes", recording)
+    monkeypatch.setattr(runs, "stats_worker", no_worker)
+    return seen
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_out_naming_a_file_exits_two_before_any_read(self, stage_argvs, tmp_path, capsys, reads, stage):
+        """The stage once did all its work, then failed with a bare `[Errno 17] File exists`."""
+        out = tmp_path / "F"
+        out.write_bytes(b"not a run\n")
+        assert run_cli(*stage_argvs[stage], "--out", str(out)) == 2
+        assert reads == []
+        assert capsys.readouterr().err == f"error: --out must name a directory, not the file {out}\n"
+        assert out.read_bytes() == b"not a run\n"
+        assert list(tmp_path.rglob("*")) == [out]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_out_holding_another_commands_run_exits_two_before_any_other_read(
+        self, stage_argvs, tmp_path, capsys, reads, stage
+    ):
+        """The stage once replaced the other run's manifest and exited 0."""
+        other = "probe" if stage == "simulate" else "simulate"
+        out = tmp_path / "run"
+        out.mkdir()
+        manifest = json.dumps({"command": other, "run_id": "0123456789abcdef"}).encode("utf-8")
+        (out / "manifest.json").write_bytes(manifest)
+        assert run_cli(*stage_argvs[stage], "--out", str(out)) == 2
+        assert reads == [out / "manifest.json"]
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds a run of another command ({other}); give {stage} its own directory\n"
+        )
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert list(tmp_path.rglob("*")) == [out, out / "manifest.json"]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_out_holding_an_unreadable_manifest_exits_two(self, stage_argvs, tmp_path, capsys, reads, stage):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(b"{")
+        assert run_cli(*stage_argvs[stage], "--out", str(out)) == 2
+        assert reads == [out / "manifest.json"]
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds a manifest.json that cannot be read: manifest {out / 'manifest.json'} "
+            "is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        )
+        assert list(tmp_path.rglob("*")) == [out, out / "manifest.json"]
+
+    def test_manifest_without_a_command_is_another_commands(self, stage_argvs, tmp_path, capsys, reads):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}", encoding="utf-8")
+        assert run_cli(*stage_argvs["report"], "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} holds a run of another command (None); give report its own directory\n"
+        )
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_stage_reruns_into_its_own_directory(self, stage_argvs, tmp_path, stage):
+        """A rerun into the stage's own directory resumes: the earlier manifest is its own."""
+        out = tmp_path / "run"
+        assert run_cli(*stage_argvs[stage], "--out", str(out)) == 0
+        first = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert run_cli(*stage_argvs[stage], "--out", str(out)) == 0
+        second = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert (first["command"], first["run_id"]) == (second["command"], second["run_id"])
 
 
 class TestInstalledEntrypoint:

@@ -59,6 +59,11 @@ class TestNormalizeId:
             once = normalize_id(kind, raw)
             assert normalize_id(kind, once) == once
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError) as raised:
+            normalize_id("CHEBI", "1")
+        assert str(raised.value) == "unknown ontology kind 'CHEBI'"
+
 
 class TestExtractId:
     def test_spec_examples(self):

@@ -486,6 +486,58 @@ class TestSyntheticRespond:
         assert all(d != concept.id for d in draws)
         assert draws.count("GO:0000005") > 150
 
+    def test_popular_id_without_a_positive_popularity_draws_from_the_curve(self):
+        import random
+
+        ontology = make_ontology(4)
+        popularity = {c.id: 0 for c in ontology.concepts}
+        profile = make_profile(ontology, recall=0.0, style=HallucinationStyle.POPULAR_ID, popularity=popularity)
+        assert profile.popular_table == ([c.id for c in ontology.concepts], [1, 2, 3, 4])
+        concept = ontology.concepts[0]
+        draws = {synthetic_respond(profile, chat_prompt(concept), 0.0, random.Random(s)) for s in range(100)}
+        assert draws == {c.id for c in ontology.concepts[1:]}
+
+    def test_popular_id_whose_only_popular_id_is_the_gold_mutates_one_digit(self):
+        import random
+
+        ontology = make_ontology(3)
+        concept = ontology.concepts[0]
+        popularity = {c.id: int(c is concept) for c in ontology.concepts}
+        profile = make_profile(ontology, recall=0.0, style=HallucinationStyle.POPULAR_ID, popularity=popularity)
+        for seed in range(20):
+            got = synthetic_respond(profile, chat_prompt(concept), 0.0, random.Random(seed))
+            assert len(got) == len(concept.id)
+            assert sum(1 for a, b in zip(got, concept.id) if a != b) == 1
+
+    def test_invented_icd10_ids_have_the_code_shape_outside_the_universe(self, icd_ontology):
+        import random
+        import re
+
+        profile = make_profile(icd_ontology, recall=0.0, style=HallucinationStyle.INVENTED)
+        concept = icd_ontology.concepts[0]
+        for seed in range(50):
+            got = synthetic_respond(profile, chat_prompt(concept), 0.0, random.Random(seed))
+            assert re.fullmatch(r"[A-Z][0-9]{2}\.[0-9]", got)
+            assert got not in icd_ontology.universe
+
+    def test_icd10_universe_of_every_inventable_code_is_refused(self, icd_ontology):
+        import random
+        import string
+
+        codes = frozenset(f"{letter}{n:02d}.{d}" for letter in string.ascii_uppercase for n in range(100) for d in range(10))
+        assert len(codes) == 26_000
+        profile = SyntheticProfile({c.id: 0.0 for c in icd_ontology.concepts}, HallucinationStyle.INVENTED, universe=codes)
+        with pytest.raises(ConfigurationError) as raised:
+            synthetic_respond(profile, chat_prompt(icd_ontology.concepts[0]), 0.0, random.Random(0))
+        assert str(raised.value) == "could not invent an unused ICD10 ID; universe too dense"
+
+    def test_request_temperature_outside_zero_to_one_is_refused(self):
+        ontology = make_ontology(1)
+        gateway = ModelGateway(make_config(), profile=make_profile(ontology))
+        with pytest.raises(ConfigurationError) as raised:
+            gateway.complete(chat_prompt(ontology.concepts[0]), temperature=1.5)
+        assert str(raised.value) == "temperature must be within [0,1], got 1.5"
+
     def test_unknown_concept_rejected(self):
         import random
 

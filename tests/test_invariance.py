@@ -232,8 +232,28 @@ class TestAggregate:
         c1 = ontology.concepts[0]
         assignment = BucketAssignment(1, (), {"GO:0000002": 1}, (1,))
         records = [InvarianceRecord(c1, Strategy.PI1, 2, (c1.id, c1.id), 1, 1.0)]
-        with pytest.raises(ValueError, match="no bucket"):
+        with pytest.raises(ValueError) as raised:
             aggregate_avpi(records, assignment, ontology)
+        assert str(raised.value) == "concept GO:0000001 has no bucket"
+
+    def test_rows_by_strategy_then_bucket_whatever_the_record_order(self):
+        ontology = make_ontology(4)
+        c1, c2, c3, c4 = ontology.concepts
+        assignment = BucketAssignment(2, (1,), {c1.id: 1, c2.id: 2, c3.id: 1, c4.id: 2}, (2, 2))
+        records = [
+            InvarianceRecord(c4, Strategy.PI3, 2, (c4.id, None), 2, 0.0),
+            InvarianceRecord(c2, Strategy.PI1, 2, (c2.id, c2.id), 1, 1.0),
+            InvarianceRecord(c3, Strategy.PI3, 2, (c3.id, c3.id), 1, 1.0),
+            InvarianceRecord(c1, Strategy.PI1, 2, (None, None), 1, 1.0),
+            InvarianceRecord(c2, Strategy.PI3, 2, (c2.id, c2.id), 1, 1.0),
+        ]
+        rows = aggregate_avpi(records, assignment, ontology)
+        assert [(row.strategy, row.bucket, row.avpi, row.accuracy, row.k_sampled) for row in rows] == [
+            (Strategy.PI1, 1, 1.0, 0.0, 1),
+            (Strategy.PI1, 2, 1.0, 1.0, 1),
+            (Strategy.PI3, 1, 1.0, 1.0, 1),
+            (Strategy.PI3, 2, 0.5, 0.75, 2),
+        ]
 
     def test_empty(self):
         ontology = make_ontology(2)

@@ -165,6 +165,11 @@ class TestParseIcd10:
         ontology = parse_icd10("code,label\ne119,diabetes\n")
         assert ontology.concepts[0].id == "E11.9"
 
+    def test_negative_max_code_chars_is_refused(self, icd_csv_text):
+        with pytest.raises(ValueError) as raised:
+            parse_icd10(icd_csv_text, max_code_chars=-1)
+        assert str(raised.value) == "max_code_chars must be non-negative"
+
 
 class TestParseWikidata:
     def test_sample_counts(self, wikidata_ontology):
@@ -298,6 +303,18 @@ class TestCanonicalTable:
 
 
 class TestOntologyInvariants:
+    def test_equality_with_another_type_is_left_to_it(self, go_ontology):
+        assert go_ontology.__eq__(1) is NotImplemented
+        assert (go_ontology == 1) is False
+        assert go_ontology != 1
+
+    def test_repr_names_kind_concepts_and_universe(self):
+        ontology = Ontology(OntologyKind.GO, (Concept("GO:0000001", "a", OntologyKind.GO),), frozenset({"GO:0000001"}))
+        assert repr(ontology) == (
+            "Ontology(kind=<OntologyKind.GO: 'GO'>, concepts=(Concept(id='GO:0000001', label='a', "
+            "source=<OntologyKind.GO: 'GO'>),), universe=frozenset({'GO:0000001'}))"
+        )
+
     def test_concepts_must_be_in_universe(self):
         concept = Concept("GO:0000001", "a", OntologyKind.GO)
         with pytest.raises(ValueError, match="universe"):

@@ -19,6 +19,7 @@ from ontoprobe import (
     score,
     write_occurrences,
 )
+from ontoprobe.popularity import by_bucket
 
 
 def occ(i: int, count: int, tag: str = "corpus") -> OccurrenceRecord:
@@ -156,6 +157,33 @@ class TestBucketize:
             bucketize([occ(1, 1), occ(1, 2)], 2)
 
 
+class TestByBucket:
+    def test_one_list_per_bucket_in_input_order(self):
+        records = [occ(i, i) for i in range(1, 11)]
+        assignment = bucketize(records, n_buckets=5)
+        shuffled = [records[i] for i in (9, 0, 4, 1, 5, 8, 2, 3, 7, 6)]
+        groups = by_bucket(assignment, shuffled, lambda r: r.concept_id, "occurrence record")
+        assert groups == [
+            [records[0], records[1]],
+            [records[2], records[3]],
+            [records[4], records[5]],
+            [records[7], records[6]],
+            [records[9], records[8]],
+        ]
+
+    def test_buckets_without_items_are_empty_lists(self):
+        assignment = bucketize([occ(i, i) for i in range(1, 11)], n_buckets=5)
+        assert by_bucket(assignment, [occ(3, 0)], lambda r: r.concept_id, "item") == [[], [occ(3, 0)], [], [], []]
+        assert by_bucket(assignment, iter(()), lambda r: r.concept_id, "item") == [[], [], [], [], []]
+
+    def test_first_item_without_a_bucket_is_named(self):
+        assignment = bucketize([occ(i, i) for i in range(1, 5)], n_buckets=2)
+        items = [occ(1, 1), occ(98, 1), occ(99, 1)]
+        with pytest.raises(ValueError) as raised:
+            by_bucket(assignment, items, lambda r: r.concept_id, "scored concept")
+        assert str(raised.value) == "scored concept GO:0000098 has no bucket"
+
+
 class TestBucketMeans:
     def test_hand_case(self):
         records = [occ(i, i) for i in range(1, 11)]
@@ -170,8 +198,9 @@ class TestBucketMeans:
     def test_unknown_record_rejected(self):
         records = [occ(i, i) for i in range(1, 5)]
         assignment = bucketize(records, n_buckets=2)
-        with pytest.raises(ValueError, match="no bucket"):
+        with pytest.raises(ValueError) as raised:
             bucket_mean_counts(assignment, records + [occ(99, 1)])
+        assert str(raised.value) == "occurrence record GO:0000099 has no bucket"
 
 
 class TestPerBucketAccuracy:

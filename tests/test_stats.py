@@ -292,6 +292,12 @@ class TestGrangerValidation:
         with pytest.raises(DegenerateInputError, match="constant"):
             granger_f(rng.normal(size=20), np.full(20, 3.0), lag=3)
 
+    def test_exact_fit_has_no_f_statistic(self):
+        # y is zero after its first value: both models fit the target exactly.
+        with pytest.raises(DegenerateInputError) as raised:
+            granger_f([1.0, 2.0, 4.0, 3.0, 5.0, 6.0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], lag=1)
+        assert str(raised.value) == "unrestricted model fits exactly; F-statistic undefined"
+
     def test_collinear_x_names_columns(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=24)

@@ -13,10 +13,12 @@ import resource
 import select
 import socket
 import ssl
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,9 @@ from ontoprobe import (
 from ontoprobe.cli import main
 from ontoprobe.gateway import API_KEY_ENV
 
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+NOT_JSON = "unexpected response shape from endpoint: the body is not JSON"
 ANSWER = json.dumps({"choices": [{"message": {"role": "assistant", "content": "GO:0000001"}}]}).encode("utf-8")
 
 
@@ -289,8 +294,94 @@ def test_success_whose_body_is_not_json_is_a_configuration_error(serve):
             gateway.complete(*_items(1)[0])
     finally:
         gateway.close()
-    assert str(raised.value) == "unexpected response shape from endpoint: AssertionError()"
+    assert str(raised.value) == NOT_JSON
     assert sleeps == []
+
+
+def test_body_that_is_not_json_is_refused_under_optimisation(serve):
+    """The check is no `assert`, so `python -O` refuses the body with the same message."""
+    server = serve(handler=_TextHandler)
+    script = f"""
+from conftest import make_ontology
+from ontoprobe import ConfigurationError, Language, ModelConfig, ModelGateway, PromptStyle, Provider, render, template_for
+ontology = make_ontology(1)
+prompt = render(template_for(ontology.kind, PromptStyle.CHAT, Language.EN), ontology.concepts[0])
+gateway = ModelGateway(ModelConfig(Provider.CHAT_HTTP, "m", endpoint={server.url!r}, max_attempts=1))
+try:
+    gateway.complete(prompt, 0, None)
+except ConfigurationError as exc:
+    print(exc)
+finally:
+    gateway.close()
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, NOT_JSON + "\n", "")
+
+
+@pytest.fixture
+def closes(monkeypatch) -> list:
+    """Every HTTPConnection closed, in order: a dropped connection is closed
+    by the collector too, so only this tells an explicit close apart."""
+    import http.client
+
+    closed = []
+    close = http.client.HTTPConnection.close
+
+    def recording(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "close", recording)
+    return closed
+
+
+def test_connection_back_from_a_request_in_flight_after_close_is_closed(serve, closes):
+    arrived, release = threading.Event(), threading.Event()
+
+    def respond(n):
+        arrived.set()
+        assert release.wait(5)
+        return 200, {}
+
+    server = serve(respond=respond)
+    gateway = _gateway(server.url, [], max_in_flight=1, max_attempts=1)
+    answers = []
+    thread = threading.Thread(target=lambda: answers.append(gateway.complete(*_items(1)[0]).raw_text))
+    thread.start()
+    try:
+        assert arrived.wait(5)
+        gateway.close()
+    finally:
+        release.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert answers == ["GO:0000001"]
+    assert len(closes) == 1
+    server.wait_closed(1)
+    assert server.accepted == 1
+
+
+def test_interrupted_request_closes_its_connection_and_reraises(serve, monkeypatch, closes):
+    import http.client
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    server = serve()
+    gateway = _gateway(server.url, [], max_in_flight=1, max_attempts=3)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(http.client.HTTPConnection, "getresponse", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                gateway.complete(*_items(1)[0])
+            assert len(closes) == 1
+        server.wait_closed(1)
+        # The closed connection is not pooled: the next request opens another.
+        assert gateway.complete(*_items(1)[0]).raw_text == "GO:0000001"
+    finally:
+        gateway.close()
+    assert (len(server.requests), server.accepted, len(closes)) == (2, 2, 2)
 
 
 def test_server_closing_idle_connections_costs_no_retry(serve):
